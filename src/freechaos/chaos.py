@@ -135,17 +135,25 @@ def trace(a: ChaosElement) -> complex:
 
 
 def moment_product(f: GridKernel, m: int, measure: Measure = "poisson") -> complex:
-    """m-th moment of the chaos integral of f by iterating the product rule."""
+    """m-th moment of the chaos integral of f by the product rule, in half powers.
+
+    x is self-adjoint and distinct chaos orders are orthogonal, so
+    tau(x^m) = <x^ceil(m/2), x^floor(m/2)>: the iterated product builds only
+    the two half powers, and the largest table has bins^(ceil(m/2) q) entries.
+    """
     _check_measure(measure)
     _require_mirror(f)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     mul = poisson_multiply if measure == "poisson" else wigner_multiply
     x = ChaosElement.integral(f)
-    acc = x
-    for _ in range(m - 1):
-        acc = mul(acc, x)
-    return trace(acc)
+    if m == 1:
+        return trace(x)
+    lo = x
+    for _ in range(m // 2 - 1):
+        lo = mul(lo, x)
+    hi = mul(lo, x) if m % 2 else lo
+    return element_inner(hi, lo)
 
 
 def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> complex:
@@ -302,47 +310,33 @@ def power_expansion(f: GridKernel, m: int) -> ChaosElement:
     return _build(f.bins, f.cell_width, acc)
 
 
-def _closing_tuples(m: int, q: int, word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Depth tuples of length m-2 whose chain has arity exactly q at the end,
-    ready to be closed by a full arc against one more copy.
-
-    These are the admissible tuples for m-1 copies restricted by
-    2*sum(r) = (m-2)q + weight; the literal order-0 restriction for m-1
-    copies is unsatisfiable here because the closing arc supplies the last
-    depth-q step itself.
-    """
-    out = []
-    target = (m - 2) * q + sum(word)
-    for r in itertools.product(range(q + 1), repeat=m - 2):
-        ok = True
-        for p in range(1, m - 1):
-            if not word[p - 1] <= r[p - 1] <= _admissible_upper(p, q, word, r):
-                ok = False
-                break
-        if ok and 2 * sum(r) == target:
-            out.append(r)
-    return out
-
-
 def moment_trace_formula(f: GridKernel, m: int) -> complex:
     """m-th moment as a sum of closed contraction chains.
 
-    Words of length m-2 whose weight differs in parity from mq contribute
-    no tuples; the scan skips them up front.
+    The chains of every word of length m-2 and every admissible depth tuple
+    are walked as one prefix tree, so each shared chain prefix is contracted
+    once. A node extends its parent's left-nested chain by one arc (letter 0)
+    or star (letter 1) contraction against f. A branch is dropped once its
+    arity is too far from q to return in the steps left, since each step moves
+    the arity by at most q; every leaf then has arity q and is closed by the
+    full arc against one more copy of f.
     """
     _require_mirror(f)
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     q = f.arity
-    total = 0j
-    for weight in range(m - 1):
-        if (weight - m * q) % 2:
-            continue
-        for word in multiset_words(m - 1, weight):
-            for depths in _closing_tuples(m, q, word.word):
-                chain = _chain(f, word.word, depths)
-                total += complex(arc_contraction(chain, f, q).values)
-    return total
+
+    def walk(chain: GridKernel, steps: int) -> complex:
+        if steps == 0:
+            return complex(arc_contraction(chain, f, q).values)
+        total = 0j
+        for letter, contract in ((0, arc_contraction), (1, star_contraction)):
+            for k in range(letter, min(q, chain.arity) + 1):
+                if abs(chain.arity + letter - 2 * k) <= (steps - 1) * q:
+                    total += walk(contract(chain, f, k), steps - 1)
+        return total
+
+    return walk(f, m - 2)
 
 
 def free_poisson_moment(lam: float, m: int) -> float:

@@ -12,6 +12,7 @@ from freechaos import (
     MirrorSymmetryError,
     MultisetWord,
     SizeLimitError,
+    add,
     adjoint,
     arc_contraction,
     catalan,
@@ -28,18 +29,24 @@ from freechaos import (
     poisson_multiply,
     power_expansion,
     riordan,
+    scale,
     semicircular_moment,
     star_contraction,
     trace,
     wigner_multiply,
 )
-from freechaos.chaos import _closing_tuples
+from freechaos.chaos import _admissible_tuples, _chain
 
 from conftest import element_gap, random_kernel, rel_close
 
 
 def sym_kernel(q, bins, width, seed):
     return GridKernel.random_mirror_symmetric(q, bins, width, seed)
+
+
+def hermitian_kernel(q, bins, width, seed):
+    k = random_kernel(q, bins, width, seed, complex_values=True)
+    return scale(add(k, adjoint(k)), 0.5)
 
 
 def test_square_of_indicator_integral():
@@ -166,6 +173,31 @@ def test_engines_agree_on_random_kernels():
         assert rel_close(wa, wb, 1e-11)
 
 
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=8, deadline=None)
+def test_engines_agree_on_complex_hermitian_kernels(q, bins, seed):
+    f = hermitian_kernel(q, bins, 0.7, seed)
+    # m runs over both parities, so the unequal half powers of odd m are covered
+    for m in range(2, 10 // q + 1):
+        a = moment_product(f, m)
+        assert rel_close(a, moment_trace_formula(f, m), 1e-9)
+        assert rel_close(a, moment_diagram(f, m), 1e-9)
+        assert rel_close(moment_product(f, m, "wigner"), moment_diagram(f, m, "wigner"), 1e-9)
+
+
+def test_moment_product_reaches_past_the_full_power_table():
+    # x^5 at q=2 on 4 bins would need a 4^10-entry table, past the 10^6 cap;
+    # the half powers need 4^6
+    f = sym_kernel(2, 4, 0.5, 55)
+    a = moment_product(f, 5)
+    assert rel_close(a, moment_trace_formula(f, 5), 1e-9)
+    assert rel_close(a, moment_diagram(f, 5), 1e-9)
+
+
 def test_multiset_words_counts():
     for m in (2, 3, 5):
         for i in range(m):
@@ -259,17 +291,25 @@ def test_trace_formula_indicator_fourth_moment():
     assert rel_close(moment_trace_formula(f, 4), 2 * 64.0 + 8.0)
 
 
-def test_closing_tuples_parity():
-    # a word whose weight has the wrong parity admits no closing tuple
-    for m, q in [(3, 1), (3, 2), (4, 1), (4, 3), (5, 2)]:
-        for weight in range(m - 1):
-            for word in multiset_words(m - 1, weight):
-                tuples = _closing_tuples(m, q, word.word)
-                if (weight - m * q) % 2:
-                    assert tuples == []
-                else:
+def test_trace_tree_matches_exhaustive_closing_sum():
+    # the exhaustive scan over words and closing depth tuples is the oracle
+    # for the pruned prefix-tree walk: a wrongly pruned branch drops terms
+    for q, ms in [(1, range(2, 8)), (2, range(2, 6)), (3, range(2, 5))]:
+        f = hermitian_kernel(q, 3, 0.6, 50 + q)
+        for m in ms:
+            oracle = 0j
+            for weight in range(m - 1):
+                for word in multiset_words(m - 1, weight):
                     target = (m - 2) * q + weight
-                    assert all(2 * sum(r) == target for r in tuples)
+                    tuples = [
+                        r for r in _admissible_tuples(m - 1, q, word.word) if 2 * sum(r) == target
+                    ]
+                    # a word whose weight has the wrong parity admits no closing tuple
+                    if (weight - m * q) % 2:
+                        assert tuples == []
+                    for r in tuples:
+                        oracle += complex(arc_contraction(_chain(f, word.word, r), f, q).values)
+            assert rel_close(moment_trace_formula(f, m), oracle, 1e-12)
 
 
 def test_free_poisson_moment_values():

@@ -91,6 +91,18 @@ def test_moments_all_methods(capsys):
     assert all(abs(r["delta"]) <= 1e-9 for r in payload)
 
 
+def test_moments_all_methods_past_the_full_power_table(capsys):
+    # x^5 at q=2 on 4 bins would need a 4^10-entry table, past the 10^6 cap;
+    # the product engine's half powers stay below it
+    args = ("moments", "--method", "all", "--family", "random", "--q", "2", "--bins", "4", "--m", "5")
+    code, out, err = run(capsys, *args, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert [r["method"] for r in payload] == ["product", "diagram", "trace"]
+    values = [complex(r["value_re"], r["value_im"]) for r in payload]
+    assert all(abs(v - values[0]) <= 1e-9 * max(1.0, abs(values[0])) for v in values)
+
+
 def test_moments_csv_format(capsys):
     code, out, _ = run(capsys, "moments", "--m", "2", "--bins", "3", "--format", "csv")
     lines = out.strip().split("\n")

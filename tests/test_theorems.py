@@ -16,6 +16,8 @@ from freechaos import (
     identity_terms,
     indicator_characterization,
     indicator_family,
+    moment_diagram,
+    moment_trace_formula,
     norm2,
     perturbed_indicator_family,
     transfer_experiment,
@@ -73,6 +75,16 @@ def test_identity_random_kernels_both_parities():
             rep = fourth_moment_identity(f)
             assert all(v >= -1e-15 for v in rep.terms.values())
             assert abs(rep.delta) <= 1e-9 * max(1.0, abs(rep.lhs))
+
+
+def test_identity_reaches_past_the_full_power_table():
+    # x^4 at q=2 on 6 bins would need a 6^8-entry table, past the 10^6 cap;
+    # the product engine's half powers need 6^4
+    f = GridKernel.random_mirror_symmetric(2, 6, 0.5, 72)
+    rep = fourth_moment_identity(f)
+    for engine in (moment_trace_formula, moment_diagram):
+        lhs = (engine(f, 4) - 2 * engine(f, 3)).real + rep.lam
+        assert rel_close(rep.lhs, lhs, 1e-9)
 
 
 def test_identity_rejects_bad_kernels():
