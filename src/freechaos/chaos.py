@@ -99,7 +99,8 @@ def _build(bins: int, cell_width: float, acc: dict[int, np.ndarray]) -> ChaosEle
     return ChaosElement(bins, cell_width, terms)
 
 
-def _multiply(a: ChaosElement, b: ChaosElement, with_star: bool) -> ChaosElement:
+def _multiply(a: ChaosElement, b: ChaosElement, with_star: bool, top: float = np.inf) -> ChaosElement:
+    # terms of order above top are never built
     if a.bins != b.bins or a.cell_width != b.cell_width:
         raise GridMismatchError("elements live on different grids")
     acc: dict[int, np.ndarray] = {}
@@ -108,13 +109,16 @@ def _multiply(a: ChaosElement, b: ChaosElement, with_star: bool) -> ChaosElement
         for r in sorted(b.terms):
             g = b.terms[r]
             if p == 0 or r == 0:
-                _accumulate(acc, p + r, GridKernel(p + r, a.bins, a.cell_width, f.values * g.values))
+                if p + r <= top:
+                    _accumulate(acc, p + r, GridKernel(p + r, a.bins, a.cell_width, f.values * g.values))
                 continue
             for k in range(0, min(p, r) + 1):
-                _accumulate(acc, p + r - 2 * k, arc_contraction(f, g, k))
+                if p + r - 2 * k <= top:
+                    _accumulate(acc, p + r - 2 * k, arc_contraction(f, g, k))
             if with_star:
                 for k in range(1, min(p, r) + 1):
-                    _accumulate(acc, p + r - 2 * k + 1, star_contraction(f, g, k))
+                    if p + r - 2 * k + 1 <= top:
+                        _accumulate(acc, p + r - 2 * k + 1, star_contraction(f, g, k))
     return _build(a.bins, a.cell_width, acc)
 
 
@@ -138,8 +142,9 @@ def moment_product(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     """m-th moment of the chaos integral of f by the product rule, in half powers.
 
     x is self-adjoint and distinct chaos orders are orthogonal, so
-    tau(x^m) = <x^ceil(m/2), x^floor(m/2)>: the iterated product builds only
-    the two half powers, and the largest table has bins^(ceil(m/2) q) entries.
+    tau(x^m) = <x^ceil(m/2), x^floor(m/2)>: the iterated product builds
+    x^floor(m/2), and for odd m one more factor of x up to its top order
+    only, so the largest table has bins^(floor(m/2) q) entries.
     """
     _check_measure(measure)
     _require_mirror(f)
@@ -152,7 +157,8 @@ def moment_product(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     lo = x
     for _ in range(m // 2 - 1):
         lo = mul(lo, x)
-    hi = mul(lo, x) if m % 2 else lo
+    # the inner product reads only the orders lo has, so hi stops at its top
+    hi = _multiply(lo, x, measure == "poisson", max(lo.terms, default=0)) if m % 2 else lo
     return element_inner(hi, lo)
 
 
@@ -166,6 +172,11 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
         raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * f.arity}")
     pairings, _, ge2 = nc0_classes(m, f.arity)
     classes = ge2 if measure == "poisson" else pairings
+    # Each einsum below allocates and frees iterator buffers of up to 128 KiB per
+    # operand. Until a process frees its first large block, glibc gives such
+    # memory back to the system at once, so every call faults it in again (2x
+    # the time on few bins); freeing one untouched 2 MiB block ends that.
+    np.empty(1 << 21, np.uint8)
     total = 0j
     for sigma in classes:
         total += diagram_integral(f, m, sigma)

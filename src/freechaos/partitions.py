@@ -13,9 +13,13 @@ from typing import Iterator
 
 from .errors import GroundSetMismatchError, SizeLimitError
 
-# Bell(12) ~ 4.2e6 and Catalan(16) ~ 3.5e7 already stretch exhaustive scans.
+# Bell(12) ~ 4.2e6 already stretches an exhaustive scan.
 MAX_PARTITION_GROUND = 12
+# The pruned class generator keeps R_16 = 227,475 partitions at (m, q) = (16, 1)
+# in about 3 s and 100 MiB.
 MAX_NC_GROUND = 16
+# Catalan(14) ~ 2.7e6 partitions take about 1.1 GB; memory grows ~4x per element.
+MAX_NC_ENUM_GROUND = 14
 MAX_RIORDAN_INDEX = 14
 
 
@@ -136,8 +140,8 @@ def _nc_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n], Catalan(n) of them."""
-    if not 1 <= n <= MAX_NC_GROUND:
-        raise SizeLimitError(f"enumerate_nc needs 1 <= n <= {MAX_NC_GROUND}, got {n}")
+    if not 1 <= n <= MAX_NC_ENUM_GROUND:
+        raise SizeLimitError(f"enumerate_nc needs 1 <= n <= {MAX_NC_ENUM_GROUND}, got {n}")
     return [SetPartition(n, blocks) for blocks in _nc_blocks(n)]
 
 
@@ -172,32 +176,44 @@ def meet_is_zero(sigma: SetPartition, pi: SetPartition) -> bool:
 def nc0_classes(
     m: int, q: int
 ) -> tuple[tuple[SetPartition, ...], tuple[SetPartition, ...], tuple[SetPartition, ...]]:
-    """Non-crossing partitions of [mq] whose meet with the block partition is zero,
-    split by block size: (all blocks = 2, all blocks > 2, all blocks >= 2).
+    """Non-crossing partitions of [mq] with no singleton whose meet with the
+    block partition is zero, split by block size: (all blocks = 2,
+    all blocks > 2, all blocks >= 2).
 
-    Each class is filtered by its own predicate; the third is not assembled
-    from the first two.
+    They are grown by the staircase insertion of _nc_blocks, and a branch is
+    cut as soon as no completion can be kept: element e never joins a block
+    whose maximum lies in e's own kernel copy (copies are consecutive, so this
+    is exactly the zero meet), a join never buries a singleton, and the last
+    element never opens a block. Survivors come out in _nc_blocks order.
     """
     if m < 1 or q < 1:
         raise SizeLimitError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
-    if m * q > MAX_NC_GROUND:
-        raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {m * q}")
-    pi = block_partition(m, q)
-    pairings: list[SetPartition] = []
-    big: list[SetPartition] = []
-    ge2: list[SetPartition] = []
-    for blocks in _nc_blocks(m * q):
-        sigma = SetPartition(m * q, blocks)
-        if not meet_is_zero(sigma, pi):
-            continue
-        sizes = sigma.block_sizes()
-        if all(s == 2 for s in sizes):
-            pairings.append(sigma)
-        if all(s > 2 for s in sizes):
-            big.append(sigma)
-        if all(s >= 2 for s in sizes):
-            ge2.append(sigma)
-    return tuple(pairings), tuple(big), tuple(ge2)
+    n = m * q
+    if n > MAX_NC_GROUND:
+        raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {n}")
+    kept: list[SetPartition] = []
+
+    def grow(e: int, blocks: tuple[tuple[int, ...], ...], stair: tuple[int, ...]) -> None:
+        if e > n:
+            if all(len(blocks[bi]) > 1 for bi in stair):
+                kept.append(SetPartition(n, blocks))
+            return
+        if e < n:
+            grow(e + 1, blocks + ((e,),), (len(blocks),) + stair)
+        copy = (e - 1) // q
+        for si, bi in enumerate(stair):
+            if si and len(blocks[stair[si - 1]]) == 1:
+                break  # joining here or lower would bury a singleton
+            if (blocks[bi][-1] - 1) // q == copy:
+                continue
+            nb = list(blocks)
+            nb[bi] = nb[bi] + (e,)
+            grow(e + 1, tuple(nb), (bi,) + stair[si + 1:])
+
+    grow(2, ((1,),), (0,))
+    pairings = tuple(p for p in kept if all(s == 2 for s in p.block_sizes()))
+    big = tuple(p for p in kept if all(s > 2 for s in p.block_sizes()))
+    return pairings, big, tuple(kept)
 
 
 def intersection_split(
@@ -241,15 +257,16 @@ class RiordanTable:
 
 @lru_cache(maxsize=None)
 def riordan(m: int) -> RiordanTable:
-    """Brute-force table of no-singleton NC partition counts, graded by blocks."""
+    """No-singleton NC partition counts graded by blocks, in closed form:
+    C(m, j) C(m-j-1, j-1) / (m-j+1) partitions of [m] have j blocks, 1 <= j <= m/2
+    (Nica & Speicher, Lectures on the Combinatorics of Free Probability, 2006).
+    """
     if not 1 <= m <= MAX_RIORDAN_INDEX:
         raise SizeLimitError(f"riordan needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
-    tally: dict[int, int] = {}
-    for blocks in _nc_blocks(m):
-        if any(len(b) == 1 for b in blocks):
-            continue
-        tally[len(blocks)] = tally.get(len(blocks), 0) + 1
-    return RiordanTable(m, tuple(sorted(tally.items())))
+    counts = tuple(
+        (j, math.comb(m, j) * math.comb(m - j - 1, j - 1) // (m - j + 1)) for j in range(1, m // 2 + 1)
+    )
+    return RiordanTable(m, counts)
 
 
 def riordan_number(m: int) -> int:

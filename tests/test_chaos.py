@@ -198,6 +198,21 @@ def test_moment_product_reaches_past_the_full_power_table():
     assert rel_close(a, moment_diagram(f, 5), 1e-9)
 
 
+def test_moment_product_odd_m_builds_only_the_orders_it_reads():
+    # x^5 at q=2 on 4 bins holds a 4^10-entry term past the 10^6 cap, but the
+    # inner product with x^4 reads orders up to 8 only
+    f = sym_kernel(2, 4, 0.5, 61)
+    assert rel_close(moment_product(f, 9), moment_trace_formula(f, 9), 1e-9)
+
+
+def test_moment_diagram_reaches_sixteen_legs():
+    # (2, 8) and (4, 4) have mq = 16 legs, (2, 7) has 14
+    for q, m, seed in [(2, 8, 62), (4, 4, 63), (2, 7, 64)]:
+        f = sym_kernel(q, 2, 0.5, seed)
+        for measure in ("poisson", "wigner"):
+            assert rel_close(moment_diagram(f, m, measure), moment_product(f, m, measure), 1e-9)
+
+
 def test_multiset_words_counts():
     for m in (2, 3, 5):
         for i in range(m):

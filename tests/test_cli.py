@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from freechaos import GridKernel, save_kernel
+from freechaos import GridKernel, partitions, save_kernel
 from freechaos.cli import main
 
 
@@ -60,6 +60,15 @@ def test_nc_classes_requires_m_and_q(capsys):
 def test_nc_size_guard(capsys):
     code, _, err = run(capsys, "nc", "--n", "18")
     assert code == 1 and err.startswith("error:size-limit:")
+
+
+def test_nc_count_refuses_fifteen(capsys, monkeypatch):
+    def boom(n):
+        raise AssertionError(f"enumerated [{n}] past the guard")
+
+    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    code, out, err = run(capsys, "nc", "--n", "15")
+    assert code == 1 and out == "" and err.startswith("error:size-limit:")
 
 
 def test_riordan_text(capsys):

@@ -1,5 +1,7 @@
 """Partition enumeration, non-crossing filters, diagram classes, block-count tables."""
 
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from freechaos import (
     riordan,
     riordan_number,
 )
+from freechaos import partitions
 
 
 def test_enumerate_partitions_small_counts():
@@ -81,6 +84,15 @@ def test_enumerate_nc_guards():
         enumerate_nc(0)
 
 
+def test_enumerate_nc_refuses_fifteen_before_allocating(monkeypatch):
+    def boom(n):
+        raise AssertionError(f"enumerated [{n}] past the guard")
+
+    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    with pytest.raises(SizeLimitError):
+        enumerate_nc(15)
+
+
 def test_block_partition_shape():
     pi = block_partition(3, 2)
     assert pi.blocks == ((1, 2), (3, 4), (5, 6))
@@ -131,31 +143,47 @@ def test_nc0_classes_q2_m2():
     assert pairings[0].to_lists() == [[1, 4], [2, 3]]
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3))
-def test_nc0_classes_match_their_predicates(m, q):
-    if m * q > 10:
-        return
-    pairings, big, ge2 = nc0_classes(m, q)
-    pi = block_partition(m, q)
-    expect_pair, expect_big, expect_ge2 = [], [], []
-    for p in enumerate_nc(m * q):
-        if not meet_is_zero(p, pi):
-            continue
-        sizes = p.block_sizes()
-        if all(s == 2 for s in sizes):
-            expect_pair.append(p)
-        if all(s > 2 for s in sizes):
-            expect_big.append(p)
-        if all(s >= 2 for s in sizes):
-            expect_ge2.append(p)
-    assert list(pairings) == expect_pair
-    assert list(big) == expect_big
-    assert list(ge2) == expect_ge2
-    # mixed block sizes live in the third class only, so containment is the
-    # right invariant here, not equality with the union
-    assert set(pairings) <= set(ge2)
-    assert set(big) <= set(ge2)
-    assert not set(pairings) & set(big)
+@functools.cache
+def no_singleton_nc(n):
+    """The exhaustive oracle: every non-crossing partition of [n], filtered."""
+    return [p for p in enumerate_nc(n) if all(len(b) >= 2 for b in p.blocks)]
+
+
+def test_nc0_classes_match_their_predicates():
+    # the pruned generator yields the filtered classes, in the same order
+    for n in range(1, 13):
+        for q in range(1, 5):
+            if n % q:
+                continue
+            m = n // q
+            pairings, big, ge2 = nc0_classes(m, q)
+            pi = block_partition(m, q)
+            expect_pair, expect_big, expect_ge2 = [], [], []
+            for p in no_singleton_nc(n):
+                if not meet_is_zero(p, pi):
+                    continue
+                sizes = p.block_sizes()
+                if all(s == 2 for s in sizes):
+                    expect_pair.append(p)
+                if all(s > 2 for s in sizes):
+                    expect_big.append(p)
+                if all(s >= 2 for s in sizes):
+                    expect_ge2.append(p)
+            assert list(pairings) == expect_pair, (m, q)
+            assert list(big) == expect_big, (m, q)
+            assert list(ge2) == expect_ge2, (m, q)
+            # mixed block sizes live in the third class only, so containment is the
+            # right invariant here, not equality with the union
+            assert set(pairings) <= set(ge2)
+            assert set(big) <= set(ge2)
+            assert not set(pairings) & set(big)
+
+
+def test_nc0_classes_reach_a_sixteen_element_ground_set():
+    # filtering all Catalan(16) ~ 3.5e7 non-crossing partitions of [16] would
+    # exhaust memory; the pruned generator never builds them
+    assert tuple(len(c) for c in nc0_classes(8, 2)) == (91, 0, 1085)
+    assert tuple(len(c) for c in nc0_classes(4, 4)) == (5, 0, 9)
 
 
 def test_nc0_ge2_counts_match_no_singleton_totals_at_q1():
@@ -226,6 +254,15 @@ def test_riordan_against_partition_filter_oracle():
                 j = len(p.blocks)
                 expected[j] = expected.get(j, 0) + 1
         assert dict(riordan(m).counts) == expected
+
+
+def test_riordan_closed_form_matches_nc_filter_oracle():
+    for m in range(1, 13):
+        expected = {}
+        for p in no_singleton_nc(m):
+            j = len(p.blocks)
+            expected[j] = expected.get(j, 0) + 1
+        assert dict(riordan(m).counts) == expected, m
 
 
 def test_riordan_guard():
