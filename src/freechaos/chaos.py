@@ -82,11 +82,11 @@ class ChaosElement:
         )
 
 
-def _accumulate(acc: dict[int, np.ndarray], order: int, kern: GridKernel) -> None:
+def _accumulate(acc: dict[int, np.ndarray], order: int, table: np.ndarray) -> None:
     if order in acc:
-        acc[order] = acc[order] + kern.values
+        acc[order] += table
     else:
-        acc[order] = kern.values.copy()
+        acc[order] = table.copy()
 
 
 def _build(bins: int, cell_width: float, acc: dict[int, np.ndarray]) -> ChaosElement:
@@ -95,7 +95,7 @@ def _build(bins: int, cell_width: float, acc: dict[int, np.ndarray]) -> ChaosEle
         vals = acc[order]
         if not np.any(vals):
             continue  # prune exact zeros only
-        terms[order] = GridKernel(order, bins, cell_width, vals)
+        terms[order] = GridKernel._owned(order, bins, cell_width, vals)
     return ChaosElement(bins, cell_width, terms)
 
 
@@ -110,15 +110,15 @@ def _multiply(a: ChaosElement, b: ChaosElement, with_star: bool, top: float = np
             g = b.terms[r]
             if p == 0 or r == 0:
                 if p + r <= top:
-                    _accumulate(acc, p + r, GridKernel(p + r, a.bins, a.cell_width, f.values * g.values))
+                    _accumulate(acc, p + r, f.values * g.values)
                 continue
             for k in range(0, min(p, r) + 1):
                 if p + r - 2 * k <= top:
-                    _accumulate(acc, p + r - 2 * k, arc_contraction(f, g, k))
+                    _accumulate(acc, p + r - 2 * k, arc_contraction(f, g, k).values)
             if with_star:
                 for k in range(1, min(p, r) + 1):
                     if p + r - 2 * k + 1 <= top:
-                        _accumulate(acc, p + r - 2 * k + 1, star_contraction(f, g, k))
+                        _accumulate(acc, p + r - 2 * k + 1, star_contraction(f, g, k).values)
     return _build(a.bins, a.cell_width, acc)
 
 
@@ -316,8 +316,7 @@ def power_expansion(f: GridKernel, m: int) -> ChaosElement:
     for weight in range(m):
         for word in multiset_words(m, weight):
             for depths in _admissible_tuples(m, q, word.word):
-                kern = _chain(f, word.word, depths)
-                _accumulate(acc, m * q + weight - 2 * sum(depths), kern)
+                _accumulate(acc, m * q + weight - 2 * sum(depths), _chain(f, word.word, depths).values)
     return _build(f.bins, f.cell_width, acc)
 
 
@@ -401,20 +400,23 @@ class MomentReport:
 
 def moment_report(f: GridKernel, m: int, method: str, measure: Measure = "poisson") -> MomentReport:
     """Compute one moment by the named engine and pair it with the matching oracle."""
+    if method not in ("product", "diagram", "trace"):
+        raise ValueError(f"method must be product, diagram, or trace, got {method!r}")
+    if method == "trace" and measure != "poisson":
+        raise ValueError("the trace engine covers the poisson product rule only")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    lam = norm2(f)
+    if measure == "poisson":
+        # before any engine runs, so an order the oracle refuses costs nothing
+        oracle = free_poisson_moment(lam, m) if lam > 0 else 0.0
     if method == "product":
         value = moment_product(f, m, measure)
     elif method == "diagram":
         value = moment_diagram(f, m, measure)
-    elif method == "trace":
-        if measure != "poisson":
-            raise ValueError("the trace engine covers the poisson product rule only")
+    else:
         value = moment_trace_formula(f, m)
-    else:
-        raise ValueError(f"method must be product, diagram, or trace, got {method!r}")
-    lam = norm2(f)
-    if measure == "poisson":
-        oracle = free_poisson_moment(lam, m) if lam > 0 else 0.0
-    else:
+    if measure != "poisson":
         oracle = semicircular_moment(lam, m) if lam > 0 else 0.0
     return MomentReport(f.arity, m, lam, method, value, oracle)
 

@@ -23,7 +23,9 @@ from .errors import (
     SizeLimitError,
 )
 from .kernels import GridKernel, load_kernel
-from .partitions import enumerate_nc, enumerate_partitions, nc0_classes, riordan
+from .partitions import _require_nc_enum_ground, bell, catalan, enumerate_nc, nc0_classes, riordan
+# unused here since nc counts in closed form; tracing wraps cli.enumerate_partitions
+from .partitions import enumerate_partitions  # noqa: F401
 from .theorems import (
     convergence_experiment,
     fourth_moment_identity,
@@ -201,16 +203,18 @@ def cmd_nc(cfg: RunConfig) -> str:
         )
     if cfg.n is None:
         raise UsageError("nc needs --n, or --classes with --m and --q")
-    ncs = enumerate_nc(cfg.n)
-    total = len(enumerate_partitions(cfg.n)) if cfg.n <= MAX_TOTAL_PARTITIONS else None
-    payload: dict = {"n": cfg.n, "noncrossing": len(ncs), "total": total}
+    # counts come in closed form; only --list builds partitions
+    _require_nc_enum_ground(cfg.n)
+    noncrossing = catalan(cfg.n)
+    total = bell(cfg.n) if cfg.n <= MAX_TOTAL_PARTITIONS else None
+    payload: dict = {"n": cfg.n, "noncrossing": noncrossing, "total": total}
     if cfg.listing:
-        payload["partitions"] = [p.to_lists() for p in ncs]
+        payload["partitions"] = [p.to_lists() for p in enumerate_nc(cfg.n)]
     if cfg.fmt == "json":
         return _json(payload)
     if total is None:
-        return f"{len(ncs)} non-crossing\n"
-    return f"{len(ncs)} non-crossing of {total} total\n"
+        return f"{noncrossing} non-crossing\n"
+    return f"{noncrossing} non-crossing of {total} total\n"
 
 
 def cmd_riordan(cfg: RunConfig) -> str:

@@ -38,16 +38,27 @@ class GridKernel:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
         if not self.cell_width > 0:
             raise ValueError(f"cell_width must be > 0, got {self.cell_width}")
-        if self.arity > 0 and self.bins ** self.arity > MAX_TABLE_ENTRIES:
-            raise SizeLimitError(
-                f"table would hold {self.bins ** self.arity} entries, cap is {MAX_TABLE_ENTRIES}"
-            )
+        _require_table_size(self.bins, self.arity)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.bins,) * self.arity:
             raise ValueError(f"values shape {vals.shape} != {(self.bins,) * self.arity}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _owned(cls, arity: int, bins: int, cell_width: float, values: np.ndarray) -> GridKernel:
+        """Wrap a C-contiguous complex128 table of shape (bins,)*arity that the
+        library has just computed and that nothing else references: no
+        conversion, shape check or copy, only the size cap and the read-only
+        flag."""
+        _require_table_size(bins, arity)
+        if not arity:
+            values = np.asarray(values)  # a product of 0-d arrays is a numpy scalar
+        values.setflags(write=False)
+        kern = cls.__new__(cls)
+        kern.__dict__.update(arity=arity, bins=bins, cell_width=cell_width, values=values)
+        return kern
 
     @classmethod
     def zeros(cls, arity: int, bins: int, cell_width: float) -> GridKernel:
@@ -80,6 +91,11 @@ class GridKernel:
         return scale(add(k, adjoint(k)), 0.5)
 
 
+def _require_table_size(bins: int, arity: int) -> None:
+    if arity > 0 and bins**arity > MAX_TABLE_ENTRIES:
+        raise SizeLimitError(f"table would hold {bins ** arity} entries, cap is {MAX_TABLE_ENTRIES}")
+
+
 def _require_same_grid(f: GridKernel, g: GridKernel) -> None:
     if f.bins != g.bins or f.cell_width != g.cell_width:
         raise GridMismatchError(
@@ -89,10 +105,8 @@ def _require_same_grid(f: GridKernel, g: GridKernel) -> None:
 
 def adjoint(f: GridKernel) -> GridKernel:
     """Conjugate and reverse the argument order."""
-    if f.arity == 0:
-        return GridKernel(0, f.bins, f.cell_width, np.conj(f.values))
     rev = np.transpose(f.values, axes=tuple(reversed(range(f.arity))))
-    return GridKernel(f.arity, f.bins, f.cell_width, np.conj(rev))
+    return GridKernel._owned(f.arity, f.bins, f.cell_width, np.conj(rev, order="C"))
 
 
 def is_mirror_symmetric(f: GridKernel, tol: float = MIRROR_TOL) -> bool:
@@ -108,7 +122,7 @@ def add(f: GridKernel, g: GridKernel) -> GridKernel:
     _require_same_grid(f, g)
     if f.arity != g.arity:
         raise GridMismatchError(f"arity mismatch: {f.arity} vs {g.arity}")
-    return GridKernel(f.arity, f.bins, f.cell_width, f.values + g.values)
+    return GridKernel._owned(f.arity, f.bins, f.cell_width, f.values + g.values)
 
 
 def subtract(f: GridKernel, g: GridKernel) -> GridKernel:
@@ -116,7 +130,7 @@ def subtract(f: GridKernel, g: GridKernel) -> GridKernel:
 
 
 def scale(f: GridKernel, c: complex) -> GridKernel:
-    return GridKernel(f.arity, f.bins, f.cell_width, f.values * c)
+    return GridKernel._owned(f.arity, f.bins, f.cell_width, f.values * complex(c))
 
 
 def arc_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
@@ -128,13 +142,15 @@ def arc_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
     m, n = f.arity, g.arity
     if not 0 <= k <= min(m, n):
         raise ValueError(f"arc depth {k} outside 0..{min(m, n)}")
-    if k == 0:
-        vals = np.tensordot(f.values, g.values, axes=0)
-    else:
-        f_axes = list(range(m - k, m))
-        g_axes = list(range(k - 1, -1, -1))
-        vals = np.tensordot(f.values, g.values, axes=(f_axes, g_axes)) * f.cell_width**k
-    return GridKernel(m + n - 2 * k, f.bins, f.cell_width, vals)
+    b = f.bins
+    _require_table_size(b, m + n - 2 * k)
+    # one matrix product: f's free axes against its last k, g's first k (in
+    # reverse order) against its free axes; k = 0 is the outer product
+    g_vals = g.values if k < 2 else g.values.transpose(tuple(range(k - 1, -1, -1)) + tuple(range(k, n)))
+    vals = f.values.reshape(b ** (m - k), b**k) @ g_vals.reshape(b**k, b ** (n - k))
+    if k and f.cell_width != 1:
+        vals *= f.cell_width**k
+    return GridKernel._owned(m + n - 2 * k, b, f.cell_width, vals.reshape((b,) * (m + n - 2 * k)))
 
 
 def star_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
@@ -147,13 +163,15 @@ def star_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
     if not 1 <= k <= min(m, n):
         raise ValueError(f"star depth {k} outside 1..{min(m, n)}")
     out_arity = m + n - 2 * k + 1
+    _require_table_size(f.bins, out_arity)
     shared = m - k  # output slot of the identified variable
     s_labels = list(range(out_arity, out_arity + k - 1))
     f_labels = list(range(m - k + 1)) + s_labels[::-1]
     g_labels = s_labels + [shared] + list(range(m - k + 1, out_arity))
     vals = np.einsum(f.values, f_labels, g.values, g_labels, list(range(out_arity)))
-    vals = vals * f.cell_width ** (k - 1)
-    return GridKernel(out_arity, f.bins, f.cell_width, vals)
+    if k > 1 and f.cell_width != 1:
+        vals *= f.cell_width ** (k - 1)
+    return GridKernel._owned(out_arity, f.bins, f.cell_width, vals)
 
 
 def norm2(f: GridKernel) -> float:

@@ -138,10 +138,14 @@ def _nc_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(blocks for blocks, _ in states)
 
 
-def enumerate_nc(n: int) -> list[SetPartition]:
-    """All non-crossing partitions of [n], Catalan(n) of them."""
+def _require_nc_enum_ground(n: int) -> None:
     if not 1 <= n <= MAX_NC_ENUM_GROUND:
         raise SizeLimitError(f"enumerate_nc needs 1 <= n <= {MAX_NC_ENUM_GROUND}, got {n}")
+
+
+def enumerate_nc(n: int) -> list[SetPartition]:
+    """All non-crossing partitions of [n], Catalan(n) of them."""
+    _require_nc_enum_ground(n)
     return [SetPartition(n, blocks) for blocks in _nc_blocks(n)]
 
 

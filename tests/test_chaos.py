@@ -35,6 +35,7 @@ from freechaos import (
     trace,
     wigner_multiply,
 )
+from freechaos import chaos
 from freechaos.chaos import _admissible_tuples, _chain
 
 from conftest import element_gap, random_kernel, rel_close
@@ -374,3 +375,17 @@ def test_moment_report_fields():
         moment_report(GridKernel.indicator(2), 2, "nonsense")
     with pytest.raises(ValueError):
         moment_report(GridKernel.indicator(2), 2, "trace", "wigner")
+
+
+def test_moment_report_checks_the_oracle_order_before_any_engine(monkeypatch):
+    def boom(*args):
+        raise AssertionError("an engine ran for an order the oracle refuses")
+
+    for engine in ("moment_product", "moment_diagram", "moment_trace_formula"):
+        monkeypatch.setattr(chaos, engine, boom)
+    f = GridKernel.indicator(2)
+    for method in ("product", "diagram", "trace"):
+        with pytest.raises(SizeLimitError, match="free_poisson_moment needs 1 <= m <= 14, got 15"):
+            moment_report(f, 15, method)
+    with pytest.raises(ValueError, match="method must be"):
+        moment_report(f, 15, "nonsense")

@@ -71,6 +71,24 @@ def test_nc_count_refuses_fifteen(capsys, monkeypatch):
     assert code == 1 and out == "" and err.startswith("error:size-limit:")
 
 
+def test_nc_counts_build_no_partitions(capsys, monkeypatch):
+    def boom(n):
+        raise AssertionError(f"built partitions of [{n}] only to count them")
+
+    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    monkeypatch.setattr(partitions, "iter_partition_blocks", boom)
+    counts = []
+    for n in ("9", "14"):
+        code, out, err = run(capsys, "nc", "--n", n, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        counts.append((payload["n"], payload["noncrossing"], payload["total"]))
+    assert counts == [(9, 4862, 21147), (14, 2674440, None)]
+    code, out, err = run(capsys, "nc", "--n", "0")
+    assert code == 1 and out == ""
+    assert err == "error:size-limit: enumerate_nc needs 1 <= n <= 14, got 0\n"
+
+
 def test_riordan_text(capsys):
     code, out, _ = run(capsys, "riordan", "--m", "4")
     assert code == 0

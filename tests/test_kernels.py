@@ -1,5 +1,7 @@
 """Grid kernels: adjoints, contractions, glued integrals, file format, guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,77 @@ def test_star_orientation_shared_slot():
     s = star_contraction(f, g, 2)  # one integrated pair plus the shared slot, arity 1
     want = naive_star(f, g, 2)
     assert np.allclose(s.values, want)
+
+
+def einsum_arc(f, g, k):
+    # f's last k arguments against g's first k, innermost with outermost
+    m, n = f.arity, g.arity
+    s = list(range(40, 40 + k))
+    f_labels = list(range(m - k)) + s[::-1]
+    g_labels = s + list(range(m - k, m + n - 2 * k))
+    return np.einsum(f.values, f_labels, g.values, g_labels, list(range(m + n - 2 * k))) * f.cell_width**k
+
+
+def einsum_star(f, g, k):
+    # as the arc, but the innermost pair is one shared output variable at slot m-k
+    m, n = f.arity, g.arity
+    s = list(range(40, 40 + k - 1))
+    f_labels = list(range(m - k + 1)) + s[::-1]
+    g_labels = s + [m - k] + list(range(m - k + 1, m + n - 2 * k + 1))
+    out = list(range(m + n - 2 * k + 1))
+    return np.einsum(f.values, f_labels, g.values, g_labels, out) * f.cell_width ** (k - 1)
+
+
+def test_contractions_match_einsum_reference_and_own_their_tables():
+    rng = np.random.default_rng(41)
+    for bins in (1, 2, 3):
+        for width in (0.7, 1.0):
+            for m in range(5):
+                for n in range(5):
+                    f, g = (
+                        GridKernel(a, bins, width, rng.normal(size=(bins,) * a + (2,)) @ [1, 1j])
+                        for a in (m, n)
+                    )
+                    cases = [(arc_contraction, einsum_arc, k) for k in range(min(m, n) + 1)]
+                    cases += [(star_contraction, einsum_star, k) for k in range(1, min(m, n) + 1)]
+                    for contract, reference, k in cases:
+                        got, want = contract(f, g, k), reference(f, g, k)
+                        assert got.values.shape == want.shape and got.values.dtype == np.complex128
+                        assert np.max(np.abs(got.values - want), initial=0.0) <= 1e-13 * max(
+                            1.0, np.max(np.abs(want), initial=0.0)
+                        ), (contract.__name__, bins, width, m, n, k)
+                        assert not got.values.flags.writeable
+                        assert not np.shares_memory(got.values, f.values)
+                        assert not np.shares_memory(got.values, g.values)
+
+
+def test_library_tables_are_read_only_and_caller_arrays_are_copied():
+    raw = np.array([[1.0, 2.0 + 1j], [3.0, 4.0]])
+    f = GridKernel(2, 2, 0.5, raw)
+    assert not np.shares_memory(f.values, raw) and raw.flags.writeable
+    raw[0, 0] = 99.0
+    assert f.values[0, 0] == 1.0
+    scalar = GridKernel.constant(1j, 2, 0.5)
+    for made in (add(f, f), scale(f, np.float32(2)), adjoint(f), subtract(f, f), adjoint(scalar)):
+        assert made.values.dtype == np.complex128 and made.values.flags.c_contiguous
+        assert not made.values.flags.writeable
+        assert not np.shares_memory(made.values, f.values)
+        with pytest.raises(ValueError):
+            made.values[()] = 0.0
+
+
+def test_contraction_refuses_oversize_output_before_allocating():
+    f = random_kernel(3, 12, 1.0, 42)  # 12^6 = 2,985,984 entries at depth 0
+    h = random_kernel(3, 16, 1.0, 43)  # 16^5 = 1,048,576 entries for a depth-1 star
+    for contract, kern, k in ((arc_contraction, f, 0), (star_contraction, h, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="cap is 1000000"):
+                contract(kern, kern, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_contraction_depth_guards():
