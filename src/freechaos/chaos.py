@@ -15,7 +15,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import GridMismatchError, MirrorSymmetryError, SizeLimitError
+from .errors import MAX_NC_GROUND, MAX_RIORDAN_INDEX, GridMismatchError, MirrorSymmetryError, SizeLimitError
 from .kernels import (
     GridKernel,
     adjoint,
@@ -26,10 +26,9 @@ from .kernels import (
     norm2,
     star_contraction,
 )
-from .partitions import MAX_NC_GROUND, catalan, nc0_classes, riordan
+from .partitions import catalan, nc0_classes, riordan
 
 Measure = Literal["poisson", "wigner"]
-MAX_ORACLE_ORDER = 14
 
 
 def _check_measure(measure: str) -> None:
@@ -353,8 +352,8 @@ def free_poisson_moment(lam: float, m: int) -> float:
     """m-th moment of the centered free Poisson law with rate lam."""
     if not lam > 0:
         raise ValueError(f"rate must be > 0, got {lam}")
-    if not 1 <= m <= MAX_ORACLE_ORDER:
-        raise SizeLimitError(f"free_poisson_moment needs 1 <= m <= {MAX_ORACLE_ORDER}, got {m}")
+    if not 1 <= m <= MAX_RIORDAN_INDEX:
+        raise SizeLimitError(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
     table = riordan(m)
     return float(sum(count * lam**j for j, count in table.counts))
 
@@ -417,6 +416,7 @@ def moment_report(f: GridKernel, m: int, method: str, measure: Measure = "poisso
     else:
         value = moment_trace_formula(f, m)
     if measure != "poisson":
+        # after the engine, whose guards refuse an order this oracle would overflow at
         oracle = semicircular_moment(lam, m) if lam > 0 else 0.0
     return MomentReport(f.arity, m, lam, method, value, oracle)
 

@@ -8,14 +8,12 @@ so identical configurations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .chaos import moment_report
 from .errors import (
+    MAX_PARTITION_GROUND,
     GridMismatchError,
     GroundSetMismatchError,
     IdentityMismatchError,
@@ -27,6 +25,7 @@ from .partitions import _require_nc_enum_ground, bell, catalan, enumerate_nc, nc
 # unused here since nc counts in closed form; tracing wraps cli.enumerate_partitions
 from .partitions import enumerate_partitions  # noqa: F401
 from .theorems import (
+    _rows_to_csv,
     convergence_experiment,
     fourth_moment_identity,
     hyperdiagonal_family,
@@ -34,8 +33,6 @@ from .theorems import (
     perturbed_indicator_family,
     transfer_experiment,
 )
-
-MAX_TOTAL_PARTITIONS = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,38 +44,12 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on; equal configs give equal bytes."""
-
-    command: str
-    n: int | None = None
-    m: int | None = None
-    max_order: int | None = None
-    q: int | None = None
-    bins: int | None = None
-    cell_width: float = 1.0
-    kernel_path: str | None = None
-    family: str | None = None
-    seed: int = 0
-    steps: int = 8
-    eps0: float = 0.5
-    rho: float = 0.5
-    method: str = "diagram"
-    measure: str = "poisson"
-    classes: bool = False
-    listing: bool = False
-    fmt: str | None = None
-    out: str | None = None
-    tol: float = 1e-2
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="freechaos", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default=None)
+        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default=None)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p_nc = sub.add_parser("nc", help="count or list non-crossing partitions and diagram classes")
@@ -134,12 +105,7 @@ def _kernel_flags(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k != "format"}
-    return RunConfig(fmt=getattr(args, "format", None), **fields)
-
-
-def _resolve_kernel(cfg: RunConfig) -> GridKernel:
+def _resolve_kernel(cfg: argparse.Namespace) -> GridKernel:
     if cfg.kernel_path is not None:
         return load_kernel(cfg.kernel_path)
     if cfg.family == "random":
@@ -147,7 +113,7 @@ def _resolve_kernel(cfg: RunConfig) -> GridKernel:
     return GridKernel.indicator(cfg.bins, cfg.cell_width)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(text: str, cfg: argparse.Namespace) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -159,25 +125,7 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    keys = list(rows[0].keys())
-    writer.writerow(keys)
-    for row in rows:
-        writer.writerow([_cell(row[k]) for k in keys])
-    return out.getvalue()
-
-
-def _cell(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def cmd_nc(cfg: RunConfig) -> str:
+def cmd_nc(cfg: argparse.Namespace) -> str:
     if cfg.classes:
         if cfg.m is None or cfg.q is None:
             raise UsageError("nc --classes needs --m and --q")
@@ -206,7 +154,7 @@ def cmd_nc(cfg: RunConfig) -> str:
     # counts come in closed form; only --list builds partitions
     _require_nc_enum_ground(cfg.n)
     noncrossing = catalan(cfg.n)
-    total = bell(cfg.n) if cfg.n <= MAX_TOTAL_PARTITIONS else None
+    total = bell(cfg.n) if cfg.n <= MAX_PARTITION_GROUND else None
     payload: dict = {"n": cfg.n, "noncrossing": noncrossing, "total": total}
     if cfg.listing:
         payload["partitions"] = [p.to_lists() for p in enumerate_nc(cfg.n)]
@@ -217,7 +165,7 @@ def cmd_nc(cfg: RunConfig) -> str:
     return f"{noncrossing} non-crossing of {total} total\n"
 
 
-def cmd_riordan(cfg: RunConfig) -> str:
+def cmd_riordan(cfg: argparse.Namespace) -> str:
     table = riordan(cfg.m)
     if cfg.fmt == "json":
         return _json({"m": table.m, "counts": {str(j): c for j, c in table.counts}, "total": table.total})
@@ -226,7 +174,7 @@ def cmd_riordan(cfg: RunConfig) -> str:
     return " ".join(parts) + "\n"
 
 
-def cmd_moments(cfg: RunConfig) -> str:
+def cmd_moments(cfg: argparse.Namespace) -> str:
     f = _resolve_kernel(cfg)
     methods = ("product", "diagram", "trace") if cfg.method == "all" else (cfg.method,)
     reports = [moment_report(f, cfg.m, method, cfg.measure).to_dict() for method in methods]
@@ -235,17 +183,14 @@ def cmd_moments(cfg: RunConfig) -> str:
     return _json(reports if len(reports) > 1 else reports[0])
 
 
-def cmd_identity(cfg: RunConfig) -> str:
+def cmd_identity(cfg: argparse.Namespace) -> str:
     report = fourth_moment_identity(_resolve_kernel(cfg))
     if cfg.fmt == "csv":
-        row = report.to_dict()
-        terms = row.pop("terms")
-        row.update(terms)
-        return _rows_to_csv([row])
+        return report.to_csv()
     return _json(report.to_dict())
 
 
-def cmd_converge(cfg: RunConfig) -> str:
+def cmd_converge(cfg: argparse.Namespace) -> str:
     if cfg.family == "indicator":
         family = indicator_family(cfg.bins, cfg.cell_width)
     elif cfg.family == "perturbed-indicator":
@@ -258,7 +203,7 @@ def cmd_converge(cfg: RunConfig) -> str:
     return _json(series.to_dict())
 
 
-def cmd_transfer(cfg: RunConfig) -> str:
+def cmd_transfer(cfg: argparse.Namespace) -> str:
     report = transfer_experiment(_resolve_kernel(cfg), cfg.max_order)
     if cfg.fmt == "csv":
         return report.to_csv()
@@ -296,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
-        _emit(_COMMANDS[cfg.command](cfg), cfg)
+        _emit(_COMMANDS[args.command](args), args)
         return 0
     except UsageError as exc:
         return _fail("usage", str(exc))

@@ -1,8 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types and resource caps shared across the package."""
 
 
 class SizeLimitError(ValueError):
     """A combinatorial or table-size guard was exceeded."""
+
+
+# Resource caps. Each guard raises SizeLimitError with its cap in the message.
+# The table guard runs before its table is allocated.
+#
+# Largest dense kernel table, in entries (16 MB of complex128).
+MAX_TABLE_ENTRIES = 10**6
+# Exhaustive set-partition scans (enumerate_partitions, the tamedness scan,
+# Bell counts in `nc`): Bell(12) ~ 4.2e6 already stretches a scan.
+MAX_PARTITION_GROUND = 12
+# The pruned class generator keeps R_16 = 227,475 partitions at (m, q) = (16, 1)
+# in about 3 s and 100 MiB.
+MAX_NC_GROUND = 16
+# Catalan(14) ~ 2.7e6 partitions take about 1.1 GB; memory grows ~4x per element.
+MAX_NC_ENUM_GROUND = 14
+# Largest order of the Riordan counts, and so of the free Poisson moment oracle.
+MAX_RIORDAN_INDEX = 14
 
 
 class GridMismatchError(ValueError):

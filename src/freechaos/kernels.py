@@ -9,16 +9,22 @@ cell sums and no quadrature error enters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, GroundSetMismatchError, MirrorSymmetryError, SizeLimitError
+from .errors import (
+    MAX_PARTITION_GROUND,
+    MAX_TABLE_ENTRIES,
+    GridMismatchError,
+    GroundSetMismatchError,
+    MirrorSymmetryError,
+    SizeLimitError,
+)
 from .partitions import SetPartition, block_partition, iter_partition_blocks, meet_is_zero
 
-MAX_TABLE_ENTRIES = 10**6
-MAX_TAMED_GROUND = 12
 MIRROR_TOL = 1e-12
 
 
@@ -38,6 +44,8 @@ class GridKernel:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
         if not self.cell_width > 0:
             raise ValueError(f"cell_width must be > 0, got {self.cell_width}")
+        if not math.isfinite(self.cell_width):
+            raise ValueError(f"cell_width must be finite, got {self.cell_width}")
         _require_table_size(self.bins, self.arity)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.bins,) * self.arity:
@@ -62,6 +70,7 @@ class GridKernel:
 
     @classmethod
     def zeros(cls, arity: int, bins: int, cell_width: float) -> GridKernel:
+        _require_table_size(bins, arity)
         return cls(arity, bins, cell_width, np.zeros((bins,) * arity, dtype=np.complex128))
 
     @classmethod
@@ -72,6 +81,7 @@ class GridKernel:
     @classmethod
     def indicator(cls, bins: int, cell_width: float = 1.0, cells: Sequence[int] | None = None) -> GridKernel:
         """Arity-1 indicator of a set of cells (all cells when omitted)."""
+        _require_table_size(bins, 1)
         v = np.zeros(bins, dtype=np.complex128)
         if cells is None:
             v[:] = 1.0
@@ -85,6 +95,7 @@ class GridKernel:
     @classmethod
     def random_mirror_symmetric(cls, arity: int, bins: int, cell_width: float, seed: int) -> GridKernel:
         """Seeded real kernel symmetrized by averaging with its adjoint."""
+        _require_table_size(bins, arity)
         rng = np.random.default_rng(seed)
         raw = rng.uniform(-1.0, 1.0, size=(bins,) * arity)
         k = cls(arity, bins, cell_width, raw.astype(np.complex128))
@@ -92,7 +103,8 @@ class GridKernel:
 
 
 def _require_table_size(bins: int, arity: int) -> None:
-    if arity > 0 and bins**arity > MAX_TABLE_ENTRIES:
+    # a bins < 1 is left to the caller's own domain check
+    if arity > 0 and bins > 0 and bins**arity > MAX_TABLE_ENTRIES:
         raise SizeLimitError(f"table would hold {bins ** arity} entries, cap is {MAX_TABLE_ENTRIES}")
 
 
@@ -247,8 +259,8 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
         raise GridMismatchError("kernels must share one arity")
     if q < 1 or m < 1:
         raise ValueError(f"need arity >= 1 and m >= 1, got arity={q}, m={m}")
-    if m * q > MAX_TAMED_GROUND:
-        raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_TAMED_GROUND}, got {m * q}")
+    if m * q > MAX_PARTITION_GROUND:
+        raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_PARTITION_GROUND}, got {m * q}")
     pi = block_partition(m, q)
     rows: list[TamednessRow] = []
     for blocks in iter_partition_blocks(m * q):
@@ -284,15 +296,14 @@ def kernel_from_dict(obj: dict) -> GridKernel:
         if key not in obj:
             raise ValueError(f"kernel file missing key '{key}'")
     q, bins = obj["q"], obj["bins"]
-    if not (isinstance(q, int) and isinstance(bins, int)):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (q, bins)):
         raise ValueError("'q' and 'bins' must be integers")
     width = obj["cell_width"]
     if not isinstance(width, (int, float)) or isinstance(width, bool):
         raise ValueError("'cell_width' must be a number")
     if q < 0 or bins < 1 or not width > 0:
         raise ValueError(f"bad grid header: q={q}, bins={bins}, cell_width={width}")
-    if q > 0 and bins**q > MAX_TABLE_ENTRIES:
-        raise SizeLimitError(f"table would hold {bins ** q} entries, cap is {MAX_TABLE_ENTRIES}")
+    _require_table_size(bins, q)
     values = np.zeros((bins,) * q, dtype=np.complex128)
     seen: set[tuple[int, ...]] = set()
     for row in obj["entries"]:
@@ -306,6 +317,8 @@ def kernel_from_dict(obj: dict) -> GridKernel:
             raise ValueError(f"entry index out of range in {row!r}")
         if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (re, im)):
             raise ValueError(f"entry values must be numbers, got {row!r}")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"entry values must be finite, got {row!r}")
         if idx in seen:
             raise ValueError(f"duplicate entry at index {idx}")
         seen.add(idx)

@@ -11,16 +11,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import GroundSetMismatchError, SizeLimitError
-
-# Bell(12) ~ 4.2e6 already stretches an exhaustive scan.
-MAX_PARTITION_GROUND = 12
-# The pruned class generator keeps R_16 = 227,475 partitions at (m, q) = (16, 1)
-# in about 3 s and 100 MiB.
-MAX_NC_GROUND = 16
-# Catalan(14) ~ 2.7e6 partitions take about 1.1 GB; memory grows ~4x per element.
-MAX_NC_ENUM_GROUND = 14
-MAX_RIORDAN_INDEX = 14
+from .errors import (
+    MAX_NC_ENUM_GROUND,
+    MAX_NC_GROUND,
+    MAX_PARTITION_GROUND,
+    MAX_RIORDAN_INDEX,
+    GroundSetMismatchError,
+    SizeLimitError,
+)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ import numpy as np
 
 from .chaos import (
     Measure,
+    _require_mirror,
     free_poisson_moment,
     moment_diagram,
     moment_product,
     semicircular_moment,
 )
-from .errors import IdentityMismatchError, MirrorSymmetryError
+from .errors import IdentityMismatchError
 from .kernels import (
     GridKernel,
+    _require_table_size,
     arc_contraction,
-    is_mirror_symmetric,
     norm2,
     star_contraction,
     subtract,
@@ -30,6 +31,24 @@ from .kernels import (
 
 STAT_IMAG_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-9
+
+
+def _rows_to_csv(rows: list[dict]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    keys = list(rows[0].keys())
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([_cell(row[k]) for k in keys])
+    return out.getvalue()
+
+
+def _cell(x) -> str:
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
 
 
 def _real_part(value: complex, what: str) -> float:
@@ -70,6 +89,11 @@ class IdentityReport:
             "terms": dict(self.terms),
         }
 
+    def to_csv(self) -> str:
+        row = self.to_dict()
+        terms = row.pop("terms")
+        return _rows_to_csv([row | terms])
+
 
 def identity_terms(f: GridKernel) -> dict[str, float]:
     """The squared contraction norms on the decomposition's right side.
@@ -106,8 +130,7 @@ def fourth_moment_identity(f: GridKernel) -> IdentityReport:
     The left side comes from the product engine, the right side from direct
     contraction norms, so the two sides share no code path.
     """
-    if not is_mirror_symmetric(f):
-        raise MirrorSymmetryError("kernel is not mirror symmetric")
+    _require_mirror(f)
     lam = norm2(f)
     if not lam > 0:
         raise ValueError("kernel must be nonzero")
@@ -199,6 +222,7 @@ def perturbed_indicator_family(
     Step n is 1_A + eps0 * rho^n * g where g is seeded noise recentred to
     integrate to zero, so the leading moment error cancels.
     """
+    _require_table_size(bins, 1)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-1.0, 1.0, size=bins)
     g = g - g.mean()
@@ -225,6 +249,7 @@ def hyperdiagonal_family(q: int = 2, spread: float = 1.0, height: float = 1.0) -
     def at(n: int) -> GridKernel:
         if n < 1:
             raise ValueError(f"step must be >= 1, got {n}")
+        _require_table_size(n, q)
         vals = np.zeros((n,) * q, dtype=np.complex128)
         for i in range(n):
             vals[(i,) * q] = height
@@ -301,19 +326,11 @@ class ConvergenceSeries:
 
     def to_csv(self) -> str:
         term_keys = sorted({k for r in self.records for k in r.terms})
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["step", "lambda", "statistic", "target", "delta", *term_keys])
-        for r in self.records:
-            row = [str(r.step)] + [
-                _fmt(x) for x in (r.lam, r.statistic, r.target, r.delta)
-            ] + [_fmt(r.terms.get(k, 0.0)) for k in term_keys]
-            writer.writerow(row)
-        return out.getvalue()
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+        return _rows_to_csv([
+            {"step": r.step, "lambda": r.lam, "statistic": r.statistic, "target": r.target, "delta": r.delta}
+            | {k: r.terms.get(k, 0.0) for k in term_keys}
+            for r in self.records
+        ])
 
 
 def convergence_experiment(
@@ -390,18 +407,7 @@ class TransferReport:
         return {"q": self.q, "lambda": self.lam, "rows": [r.to_dict() for r in self.rows]}
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["m", "poisson", "wigner", "poisson_oracle", "wigner_oracle", "poisson_gap", "wigner_gap"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [str(r.m)]
-                + [_fmt(x) for x in (r.poisson, r.wigner, r.poisson_oracle, r.wigner_oracle)]
-                + [_fmt(r.poisson_gap), _fmt(r.wigner_gap)]
-            )
-        return out.getvalue()
+        return _rows_to_csv([r.to_dict() for r in self.rows])
 
 
 def transfer_experiment(f: GridKernel, max_order: int) -> TransferReport:

@@ -1,6 +1,9 @@
 """CLI behavior: outputs, formats, file IO, and the one-line error contract."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,54 @@ def test_transfer_csv(capsys):
     assert lines[0] == "m,poisson,wigner,poisson_oracle,wigner_oracle,poisson_gap,wigner_gap"
 
 
+# Parent-commit stdout of runs whose values are integers or short binary
+# fractions, so the bytes do not depend on the platform's float formatting.
+FROZEN_CSV = {
+    ("transfer", "--M", "4", "--bins", "1"): (
+        "m,poisson,wigner,poisson_oracle,wigner_oracle,poisson_gap,wigner_gap\n"
+        "1,0,0,0,0,0,0\n"
+        "2,1,1,1,1,0,0\n"
+        "3,1,0,1,0,0,0\n"
+        "4,3,2,3,2,0,0\n"
+    ),
+    ("converge", "--family", "indicator", "--steps", "2", "--bins", "2"): (
+        "step,lambda,statistic,target,delta,star_1_minus_f\n"
+        "1,2,6,6,0,0\n"
+        "2,2,6,6,0,0\n"
+    ),
+    ("identity", "--bins", "2"): (
+        "q,lambda,lhs,rhs,delta,star_1_minus_f\n"
+        "1,2,8,8,0,0\n"
+    ),
+    ("converge", "--family", "hyperdiagonal", "--bins", "1", "--steps", "2"): (
+        "step,lambda,statistic,target,delta,arc_1_minus_f,star_1,star_2\n"
+        "1,1,3,1,2,0,1,1\n"
+        "2,0.5,0.625,0,0.625,0.125,0.25,0.25\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_CSV), ids=" ".join)
+def test_csv_bytes_are_frozen(capsys, argv):
+    assert run(capsys, *argv, "--format", "csv") == (0, FROZEN_CSV[argv], "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("moments", "--measure", "wigner", "--m", "700"),
+         "error:size-limit: moment_diagram needs m*q <= 16, got 700\n"),
+        (("moments", "--measure", "wigner", "--m", "700", "--method", "product"),
+         "error:size-limit: table would hold 2097152 entries, cap is 1000000\n"),
+        (("moments", "--m", "2", "--bins", "100000000000"),
+         "error:size-limit: table would hold 100000000000 entries, cap is 1000000\n"),
+    ],
+    ids=["wigner-diagram", "wigner-product", "oversize-indicator"],
+)
+def test_oversize_orders_and_tables_are_size_limit(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_out_writes_file(tmp_path, capsys):
     path = tmp_path / "count.json"
     code, out, _ = run(capsys, "nc", "--n", "4", "--format", "json", "--out", str(path))
@@ -256,6 +307,33 @@ def test_kernel_file_bad_payload(tmp_path, capsys):
     assert code == 1 and err.startswith("error:domain:")
 
 
+def test_infinite_cell_width_flag_is_domain(capsys):
+    code, out, err = run(capsys, "moments", "--m", "2", "--bins", "2", "--cell-width", "inf")
+    assert (code, out) == (1, "")
+    assert err == "error:domain: cell_width must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "header",
+    [{"q": True}, {"bins": True}, {"cell_width": float("inf")}],
+    ids=["bool-q", "bool-bins", "inf-cell-width"],
+)
+def test_boolean_or_infinite_kernel_file_header_is_domain(tmp_path, capsys, header):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"q": 1, "bins": 2, "cell_width": 0.5, "entries": [[0, 1.0, 0.0]], **header}))
+    for argv in (("moments", "--m", "2"), ("identity",)):
+        code, out, err = run(capsys, *argv, "--kernel", str(path))
+        assert (code, out) == (1, "") and err.startswith("error:domain:") and err.count("\n") == 1
+
+
+def test_non_finite_kernel_file_entry_is_domain(tmp_path, capsys):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"q": 1, "bins": 2, "cell_width": 0.5, "entries": [[0, float("nan"), 0.0]]}))
+    code, out, err = run(capsys, "moments", "--m", "2", "--kernel", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error:domain: entry values must be finite, got [0, nan, 0.0]\n"
+
+
 def test_asymmetric_kernel_file_reports_mirror_error(tmp_path, capsys):
     path = tmp_path / "asym.json"
     payload = {
@@ -287,3 +365,24 @@ def test_missing_required_flag_is_usage(capsys):
 def test_converge_bad_steps_is_domain(capsys):
     code, _, err = run(capsys, "converge", "--family", "indicator", "--steps", "0")
     assert code == 1 and err.startswith("error:domain:")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [
+        line.split("#", 1)[0]
+        for block in re.findall(r"```\n(.*?)```", section, re.S)
+        for line in block.splitlines()
+        if line.startswith("freechaos ")
+    ]
+    assert lines
+    # the README's own kernel-file example serves the --kernel kernel.json line
+    kernel = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "kernel.json").write_text(kernel, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    failed = [line for line in lines if run(capsys, *shlex.split(line)[1:])[0] != 0]
+    assert failed == []

@@ -31,7 +31,7 @@ from freechaos import (
     subtract,
     tamedness_report,
 )
-from freechaos.theorems import hyperdiagonal_family
+from freechaos.theorems import hyperdiagonal_family, perturbed_indicator_family
 
 from conftest import naive_arc, naive_glued, naive_star, random_kernel, rel_close
 
@@ -226,6 +226,25 @@ def test_contraction_refuses_oversize_output_before_allocating():
         try:
             with pytest.raises(SizeLimitError, match="cap is 1000000"):
                 contract(kern, kern, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_constructors_refuse_oversize_tables_before_allocating():
+    builds = (
+        lambda: GridKernel.indicator(10**11),
+        lambda: GridKernel.random_mirror_symmetric(2, 1001, 1.0, 0),
+        lambda: GridKernel.zeros(2, 1001, 1.0),
+        lambda: perturbed_indicator_family(10**11),
+        lambda: hyperdiagonal_family(3).kernel_at(101),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="cap is 1000000"):
+                build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
