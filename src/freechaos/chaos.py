@@ -223,21 +223,19 @@ def multiset_words(m: int, weight: int) -> list[MultisetWord]:
     return out
 
 
-def _admissible_upper(p: int, q: int, word: tuple[int, ...], r: tuple[int, ...]) -> int:
-    return p * q + sum(word[k - 1] - 2 * r[k - 1] for k in range(1, p))
-
-
 def _admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # depth r_p of step p must cover the shared variable (word letter) and
-    # cannot exceed the arity accumulated before that step
-    for r in itertools.product(range(q + 1), repeat=m - 1):
-        ok = True
-        for p in range(1, m):
-            if not word[p - 1] <= r[p - 1] <= _admissible_upper(p, q, word, r):
-                ok = False
-                break
-        if ok:
-            yield r
+    # depth k of a step covers the shared variable (word letter c) and cannot
+    # exceed q or the arity the chain has reached, which the step then moves
+    # by q + c - 2k; depths grow in order, so tuples come out lexicographic
+    def grow(prefix: tuple[int, ...], arity: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == m - 1:
+            yield prefix
+            return
+        c = word[len(prefix)]
+        for k in range(c, min(q, arity) + 1):
+            yield from grow(prefix + (k,), arity + q + c - 2 * k)
+
+    yield from grow((), q)
 
 
 @dataclass(frozen=True)
@@ -263,7 +261,7 @@ class IndexSets:
 
 
 def index_sets(m: int, q: int, word: MultisetWord) -> IndexSets:
-    """Enumerate the depth-tuple families for one word by exhaustive scan."""
+    """Enumerate the depth-tuple families for one word."""
     if m < 2 or q < 1:
         raise ValueError(f"need m >= 2 and q >= 1, got m={m}, q={q}")
     if word.m != m:
@@ -285,7 +283,8 @@ def index_sets(m: int, q: int, word: MultisetWord) -> IndexSets:
             if ok:
                 picked.append(r)
         aligned = tuple(picked)
-    remainder = tuple(r for r in closed if r not in set(aligned))
+    aligned_set = set(aligned)
+    remainder = tuple(r for r in closed if r not in aligned_set)
     return IndexSets(m, q, word, admissible, closed, aligned, remainder, aligned_defined)
 
 
@@ -334,6 +333,8 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     q = f.arity
+    if q < 1:
+        raise ValueError(f"need arity >= 1, got {q}")
 
     def walk(chain: GridKernel, steps: int) -> complex:
         if steps == 0:

@@ -16,14 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    MAX_PARTITION_GROUND,
     MAX_TABLE_ENTRIES,
+    MAX_TAMED_GROUND,
     GridMismatchError,
     GroundSetMismatchError,
     MirrorSymmetryError,
     SizeLimitError,
 )
-from .partitions import SetPartition, block_partition, iter_partition_blocks, meet_is_zero
+from .partitions import SetPartition, iter_partition_blocks
 
 MIRROR_TOL = 1e-12
 
@@ -103,7 +103,10 @@ class GridKernel:
 
 
 def _require_table_size(bins: int, arity: int) -> None:
-    # a bins < 1 is left to the caller's own domain check
+    # a bins < 1 is left to the caller's own domain check; NumPy allows at most
+    # 64 axes, and refusing more first keeps a huge arity out of the power
+    if arity > 64:
+        raise SizeLimitError(f"table would have {arity} axes, cap is 64")
     if arity > 0 and bins > 0 and bins**arity > MAX_TABLE_ENTRIES:
         raise SizeLimitError(f"table would hold {bins ** arity} entries, cap is {MAX_TABLE_ENTRIES}")
 
@@ -223,31 +226,26 @@ def diagram_integral(f: GridKernel, m: int, sigma: SetPartition, absolute: bool 
 
 
 @dataclass(frozen=True)
-class TamednessRow:
-    sigma: SetPartition
-    values: tuple[float, ...]
-    peak: float
-    bounded: bool
-
-
-@dataclass(frozen=True)
 class TamednessReport:
-    """Glued |f_n| integrals over every partition with zero meet against the
-    block partition, checked against a caller threshold.
+    """Peak glued |f_n| integral over the partitions that meet the block
+    partition in zero, per kernel, checked against a caller threshold.
 
-    Boundedness here certifies only the supplied kernels at the supplied m;
-    it is evidence, not a statement about the whole sequence.
+    peaks[i] is the peak for fs[i], and worst[i] the first partition, in
+    generation order, that reaches it. Boundedness here certifies only the
+    supplied kernels at the supplied m; it is evidence, not a statement about
+    the whole sequence.
     """
 
     m: int
     q: int
     threshold: float
-    rows: tuple[TamednessRow, ...]
+    peaks: tuple[float, ...]
+    worst: tuple[SetPartition, ...]
     scope: str = "bounded over the supplied kernels at this m only"
 
     @property
     def all_bounded(self) -> bool:
-        return all(r.bounded for r in self.rows)
+        return max(self.peaks) <= self.threshold
 
 
 def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> TamednessReport:
@@ -259,18 +257,17 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
         raise GridMismatchError("kernels must share one arity")
     if q < 1 or m < 1:
         raise ValueError(f"need arity >= 1 and m >= 1, got arity={q}, m={m}")
-    if m * q > MAX_PARTITION_GROUND:
-        raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_PARTITION_GROUND}, got {m * q}")
-    pi = block_partition(m, q)
-    rows: list[TamednessRow] = []
-    for blocks in iter_partition_blocks(m * q):
+    if m * q > MAX_TAMED_GROUND:
+        raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_TAMED_GROUND}, got {m * q}")
+    peaks = [-math.inf] * len(fs)
+    worst: list[SetPartition | None] = [None] * len(fs)
+    for blocks in iter_partition_blocks(m, q):
         sigma = SetPartition(m * q, blocks)
-        if not meet_is_zero(sigma, pi):
-            continue
-        vals = tuple(diagram_integral(f, m, sigma, absolute=True).real for f in fs)
-        peak = max(vals)
-        rows.append(TamednessRow(sigma, vals, peak, peak <= threshold))
-    return TamednessReport(m, q, threshold, tuple(rows))
+        for i, f in enumerate(fs):
+            val = diagram_integral(f, m, sigma, absolute=True).real
+            if val > peaks[i]:
+                peaks[i], worst[i] = val, sigma
+    return TamednessReport(m, q, threshold, tuple(peaks), tuple(worst))
 
 
 def kernel_to_dict(f: GridKernel) -> dict:
@@ -301,6 +298,8 @@ def kernel_from_dict(obj: dict) -> GridKernel:
     width = obj["cell_width"]
     if not isinstance(width, (int, float)) or isinstance(width, bool):
         raise ValueError("'cell_width' must be a number")
+    if not isinstance(obj["entries"], list):
+        raise ValueError("'entries' must be a list")
     if q < 0 or bins < 1 or not width > 0:
         raise ValueError(f"bad grid header: q={q}, bins={bins}, cell_width={width}")
     _require_table_size(bins, q)
@@ -317,13 +316,23 @@ def kernel_from_dict(obj: dict) -> GridKernel:
             raise ValueError(f"entry index out of range in {row!r}")
         if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (re, im)):
             raise ValueError(f"entry values must be numbers, got {row!r}")
+        re, im = _as_float(re), _as_float(im)
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"entry values must be finite, got {row!r}")
         if idx in seen:
             raise ValueError(f"duplicate entry at index {idx}")
         seen.add(idx)
         values[idx] = complex(re, im)
-    return GridKernel(q, bins, float(width), values)
+    return GridKernel(q, bins, _as_float(width), values)
+
+
+def _as_float(x: int | float) -> float:
+    # a JSON integer past the float range reads as infinite, which the finite
+    # checks then refuse
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def save_kernel(f: GridKernel, path: str) -> None:

@@ -66,14 +66,20 @@ class SetPartition:
         return [list(b) for b in self.blocks]
 
 
-def iter_partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Stream every partition of [n] as canonical block tuples.
+def iter_partition_blocks(m: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Stream the partitions of [mq] that meet the block partition (m runs of
+    q consecutive elements) in zero, as canonical block tuples.
 
-    Elements are inserted one at a time, each joining an existing block or
-    opening a singleton; the insertion order keeps blocks sorted by minimum.
+    Elements are inserted one at a time, each opening a singleton or joining
+    an existing block; the insertion order keeps blocks sorted by minimum.
+    Element e never joins a block whose maximum lies in e's own run: runs are
+    consecutive, so this is exactly the zero meet, and no partition is built
+    only to be dropped. At q = 1 the cut never fires and every partition of
+    [m] comes out.
     """
-    if n < 1:
-        raise SizeLimitError(f"n must be >= 1, got {n}")
+    if m < 1 or q < 1:
+        raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
+    n = m * q
 
     def rec(e: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if e > n:
@@ -82,10 +88,12 @@ def iter_partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         blocks.append([e])
         yield from rec(e + 1, blocks)
         blocks.pop()
-        for i in range(len(blocks)):
-            blocks[i].append(e)
-            yield from rec(e + 1, blocks)
-            blocks[i].pop()
+        run = (e - 1) // q
+        for b in blocks:
+            if (b[-1] - 1) // q != run:
+                b.append(e)
+                yield from rec(e + 1, blocks)
+                b.pop()
 
     yield from rec(2, [[1]])
 
@@ -94,7 +102,7 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n]; exhaustive, so n is capped."""
     if not 1 <= n <= MAX_PARTITION_GROUND:
         raise SizeLimitError(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
-    return [SetPartition(n, blocks) for blocks in iter_partition_blocks(n)]
+    return [SetPartition(n, blocks) for blocks in iter_partition_blocks(n, 1)]
 
 
 def _blocks_interleave(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -150,7 +158,7 @@ def enumerate_nc(n: int) -> list[SetPartition]:
 def block_partition(m: int, q: int) -> SetPartition:
     """The partition of [mq] into m consecutive blocks of size q."""
     if m < 1 or q < 1:
-        raise SizeLimitError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
+        raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     blocks = tuple(tuple(range((j - 1) * q + 1, j * q + 1)) for j in range(1, m + 1))
     return SetPartition(m * q, blocks)
 
@@ -189,7 +197,7 @@ def nc0_classes(
     element never opens a block. Survivors come out in _nc_blocks order.
     """
     if m < 1 or q < 1:
-        raise SizeLimitError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
+        raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     n = m * q
     if n > MAX_NC_GROUND:
         raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {n}")

@@ -296,6 +296,26 @@ def test_power_expansion_orders_lie_in_admissible_support():
     assert set(power_expansion(f, m).orders()) <= reachable
 
 
+def test_admissible_tuples_match_exhaustive_filter():
+    # the exhaustive scan the prefix growth replaced: depth r_p of step p must
+    # cover the word letter and stay within the arity accumulated before it
+    def exhaustive(m, q, word):
+        for r in itertools.product(range(q + 1), repeat=m - 1):
+            if all(
+                word[p - 1] <= r[p - 1] <= p * q + sum(word[k - 1] - 2 * r[k - 1] for k in range(1, p))
+                for p in range(1, m)
+            ):
+                yield r
+
+    words = 0
+    for q, top in [(1, 8), (2, 8), (3, 6), (4, 6)]:
+        for m in range(2, top + 1):
+            for word in itertools.product((0, 1), repeat=m - 1):
+                assert list(_admissible_tuples(m, q, word)) == list(exhaustive(m, q, word))
+                words += 1
+    assert words == 632
+
+
 def test_trace_formula_m2_is_rate():
     for q, seed in [(1, 47), (2, 48), (3, 49)]:
         f = sym_kernel(q, 3, 0.7, seed)

@@ -1,11 +1,14 @@
 """CLI behavior: outputs, formats, file IO, and the one-line error contract."""
 
 import json
+import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from freechaos import GridKernel, partitions, save_kernel
 from freechaos.cli import main
@@ -315,8 +318,14 @@ def test_infinite_cell_width_flag_is_domain(capsys):
 
 @pytest.mark.parametrize(
     "header",
-    [{"q": True}, {"bins": True}, {"cell_width": float("inf")}],
-    ids=["bool-q", "bool-bins", "inf-cell-width"],
+    [
+        {"q": True},
+        {"bins": True},
+        {"cell_width": float("inf")},
+        {"cell_width": 10**400},
+        {"entries": [[0, 1.0, -(10**400)]]},
+    ],
+    ids=["bool-q", "bool-bins", "inf-cell-width", "huge-cell-width", "huge-entry"],
 )
 def test_boolean_or_infinite_kernel_file_header_is_domain(tmp_path, capsys, header):
     path = tmp_path / "kernel.json"
@@ -332,6 +341,55 @@ def test_non_finite_kernel_file_entry_is_domain(tmp_path, capsys):
     code, out, err = run(capsys, "moments", "--m", "2", "--kernel", str(path))
     assert (code, out) == (1, "")
     assert err == "error:domain: entry values must be finite, got [0, nan, 0.0]\n"
+
+
+JUNK = st.one_of(
+    st.sampled_from([10**400, -(10**400), 10**20, math.nan, math.inf, -math.inf, None]),
+    st.booleans(),
+    st.text(max_size=3),
+)
+BROKEN_HEADER = {
+    "q": st.one_of(st.integers(-3, -1), JUNK),
+    "bins": st.one_of(st.integers(-3, 0), st.sampled_from([10**6 + 1, 10**9]), JUNK),
+    "cell_width": st.one_of(st.sampled_from([0, -1.0]), JUNK),
+    "entries": JUNK,
+}
+
+
+@st.composite
+def kernel_files(draw):
+    # a valid file at q <= 3 and bins <= 4, then maybe some header fields and
+    # one row broken: junk in a field or cell, or a row of the wrong length
+    q, bins = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    cells = draw(st.sets(st.tuples(*[st.integers(0, bins - 1)] * q), max_size=4))
+    rows = [[*idx, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))] for idx in sorted(cells)]
+    payload = {"q": q, "bins": bins, "cell_width": draw(st.floats(0.25, 2.0)), "entries": rows}
+    for key in draw(st.sets(st.sampled_from(sorted(BROKEN_HEADER)))):
+        payload[key] = draw(BROKEN_HEADER[key])
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        pos = draw(st.integers(0, len(row) - 1))
+        how = draw(st.sampled_from(["junk", "long", "short"]))
+        if how == "junk":
+            row[pos] = draw(st.one_of(JUNK, st.sampled_from([-1, bins])))
+        elif how == "long":
+            row.append(0.0)
+        else:
+            del row[pos]
+    return payload
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=kernel_files())
+def test_malformed_kernel_files_end_in_one_error_line(tmp_path, capsys, payload):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "moments", "--m", "2", "--kernel", str(path))
+    if code == 0:
+        assert err == "" and json.loads(out)["m"] == 2
+    else:
+        assert code == 1 and out == "" and re.fullmatch(r"error:[a-z-]+: [^\n]*\n", err), err
 
 
 def test_asymmetric_kernel_file_reports_mirror_error(tmp_path, capsys):
@@ -365,6 +423,29 @@ def test_missing_required_flag_is_usage(capsys):
 def test_converge_bad_steps_is_domain(capsys):
     code, _, err = run(capsys, "converge", "--family", "indicator", "--steps", "0")
     assert code == 1 and err.startswith("error:domain:")
+
+
+def test_converge_zero_bins_is_one_domain_line(capsys):
+    # the noise must not be drawn before bins is checked: numpy warns on an empty draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, "converge", "--family", "perturbed-indicator", "--bins", "0")
+    assert result == (1, "", "error:domain: bins must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--m", m, "--family", "random", "--q", "0", "--method", method)
+        for method in ("product", "diagram", "trace", "all")
+        for m in ("2", "3")
+    ]
+    + [("nc", "--classes", "--m", "0", "--q", "2"), ("transfer", "--M", "3", "--family", "random", "--q", "0")],
+    ids=" ".join,
+)
+def test_arity_zero_is_domain(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error:domain:") and err.count("\n") == 1
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

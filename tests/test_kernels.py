@@ -18,6 +18,7 @@ from freechaos import (
     block_partition,
     diagram_integral,
     enumerate_nc,
+    enumerate_partitions,
     inner,
     is_mirror_symmetric,
     kernel_from_dict,
@@ -31,6 +32,7 @@ from freechaos import (
     subtract,
     tamedness_report,
 )
+from freechaos import kernels
 from freechaos.theorems import hyperdiagonal_family, perturbed_indicator_family
 
 from conftest import naive_arc, naive_glued, naive_star, random_kernel, rel_close
@@ -326,18 +328,23 @@ def test_tamedness_report_flags_growth():
     flat = [GridKernel.indicator(2) for _ in range(3)]
     rep = tamedness_report(flat, 2, threshold=4.1)
     assert rep.all_bounded
-    assert all(meet_is_zero(r.sigma, block_partition(2, 1)) for r in rep.rows)
+    assert all(meet_is_zero(sigma, block_partition(2, 1)) for sigma in rep.worst)
     growing = [scale(GridKernel.indicator(2), 2.0**n) for n in range(1, 4)]
     rep2 = tamedness_report(growing, 2, threshold=4.1)
     assert not rep2.all_bounded
 
 
-def test_tamedness_rows_match_naive_oracle():
-    fs = [random_kernel(1, 3, 0.5, s) for s in (26, 27)]
-    rep = tamedness_report(fs, 3, threshold=100.0)
-    for row in rep.rows:
-        for f, v in zip(fs, row.values):
-            assert rel_close(v, naive_glued(f, 3, row.sigma, absolute=True).real)
+def test_tamedness_peaks_match_naive_oracle():
+    # the oracle scans every partition of [mq] and keeps the meet-zero ones
+    for q, m, bins in [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)]:
+        fs = [random_kernel(q, bins, 0.5, s) for s in (26, 27)]
+        rep = tamedness_report(fs, m, threshold=100.0)
+        pi = block_partition(m, q)
+        kept = [p for p in enumerate_partitions(m * q) if meet_is_zero(p, pi)]
+        for f, peak, sigma in zip(fs, rep.peaks, rep.worst):
+            assert rel_close(peak, max(naive_glued(f, m, p, absolute=True).real for p in kept))
+            assert rel_close(naive_glued(f, m, sigma, absolute=True).real, peak)
+            assert meet_is_zero(sigma, pi)
 
 
 def test_tamedness_hyperdiagonal_family_is_bounded():
@@ -352,6 +359,17 @@ def test_tamedness_hyperdiagonal_family_is_bounded():
 def test_tamedness_guard():
     with pytest.raises(SizeLimitError):
         tamedness_report([GridKernel.indicator(2)], 13, threshold=1.0)
+
+
+def test_tamedness_guard_refuses_before_any_partition(monkeypatch):
+    def boom(m, q):
+        raise AssertionError(f"built partitions of [{m * q}] past the guard")
+
+    monkeypatch.setattr(kernels, "iter_partition_blocks", boom)
+    for q, m in [(1, 11), (2, 6)]:
+        f = GridKernel.random_mirror_symmetric(q, 2, 1.0, 0)
+        with pytest.raises(SizeLimitError, match=f"tamedness_report needs m\\*q <= 10, got {m * q}"):
+            tamedness_report([f], m, threshold=1.0)
 
 
 def test_table_size_guard():

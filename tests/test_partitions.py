@@ -1,6 +1,7 @@
 """Partition enumeration, non-crossing filters, diagram classes, block-count tables."""
 
 import functools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,36 @@ def test_enumerate_partitions_guards():
         enumerate_partitions(0)
     with pytest.raises(SizeLimitError):
         enumerate_partitions(13)
+
+
+def meet_zero_count(m: int, q: int) -> int:
+    # partitions of [mq] into k blocks meeting the block partition in zero:
+    # inclusion-exclusion over the blocks left empty by m injective runs
+    return sum(
+        sum((-1) ** (k - j) * math.comb(k, j) * math.perm(j, q) ** m for j in range(k + 1))
+        // math.factorial(k)
+        for k in range(m * q + 1)
+    )
+
+
+def test_iter_partition_blocks_match_filtered_enumeration():
+    shapes = [(m, q) for q in range(1, 11) for m in range(1, 10 // q + 1)]
+    for n in range(1, 11):
+        everything = enumerate_partitions(n)
+        for m, q in shapes:
+            if m * q == n:
+                pi = block_partition(m, q)
+                filtered = [p.blocks for p in everything if meet_is_zero(p, pi)]
+                grown = list(partitions.iter_partition_blocks(m, q))
+                assert grown == filtered, (m, q)
+                assert len(grown) == meet_zero_count(m, q), (m, q)
+
+
+def test_meet_zero_count_closed_form():
+    assert [meet_zero_count(m, 1) for m in range(1, 13)] == [bell(m) for m in range(1, 13)]
+    assert meet_zero_count(6, 2) == 1_515_903
+    assert meet_zero_count(11, 1) == 678_570
+    assert meet_zero_count(4, 3) == 513_559
 
 
 def test_is_noncrossing_examples():
