@@ -26,7 +26,7 @@ from .kernels import (
     norm2,
     star_contraction,
 )
-from .partitions import catalan, nc0_classes, riordan
+from .partitions import SetPartition, catalan, nc0_classes, riordan
 
 Measure = Literal["poisson", "wigner"]
 
@@ -161,24 +161,83 @@ def moment_product(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     return element_inner(hi, lo)
 
 
+def _components(
+    blocks: tuple[tuple[int, ...], ...], q: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Split a class into its connected components: blocks that share a kernel
+    copy (q consecutive elements) belong to one component. A connected class
+    comes back whole. Otherwise each component is relabelled onto its own
+    copies 1..k, in their order, each element keeping its offset inside its
+    copy, and comes out as canonical blocks of [kq]. A component holds every
+    element of its copies, so the new label of an element is its rank among
+    the component's elements."""
+    groups: list[tuple[int, list[tuple[int, ...]]]] = []  # (bitmask of copies, blocks)
+    for b in blocks:
+        mask = 0
+        for p in b:
+            mask |= 1 << (p - 1) // q
+        members = [b]
+        apart = []
+        for other, theirs in groups:
+            if other & mask:
+                mask |= other
+                members += theirs
+            else:
+                apart.append((other, theirs))
+        apart.append((mask, members))
+        groups = apart
+    if len(groups) == 1:
+        return [blocks]
+    out = []
+    for _, members in groups:
+        if len(members) == 1:  # a lone block, which happens only at q = 1
+            out.append((tuple(range(1, len(members[0]) + 1)),))
+            continue
+        members.sort()
+        rank = {p: r for r, p in enumerate(sorted(itertools.chain(*members)), 1)}
+        out.append(tuple([tuple([rank[p] for p in b]) for b in members]))
+    return out
+
+
 def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> complex:
-    """m-th moment as a sum of glued integrals over non-crossing diagram classes."""
+    """m-th moment as a sum of glued integrals over non-crossing diagram classes.
+
+    A class's glued integral is the product of those of its connected
+    components (blocks that share a kernel copy), and each component,
+    relabelled onto its own copies, is a non-crossing, no-singleton, meet-zero
+    class of [kq] in turn. So each distinct component is integrated once per
+    call: at q = 1 every block is a component, and the sum needs one einsum
+    per block size. A connected class is integrated whole.
+    """
     _check_measure(measure)
     _require_mirror(f)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if m * f.arity > MAX_NC_GROUND:
-        raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * f.arity}")
-    pairings, _, ge2 = nc0_classes(m, f.arity)
+    q = f.arity
+    if m * q > MAX_NC_GROUND:
+        raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * q}")
+    pairings, _, ge2 = nc0_classes(m, q)
     classes = ge2 if measure == "poisson" else pairings
     # Each einsum below allocates and frees iterator buffers of up to 128 KiB per
     # operand. Until a process frees its first large block, glibc gives such
     # memory back to the system at once, so every call faults it in again (2x
     # the time on few bins); freeing one untouched 2 MiB block ends that.
     np.empty(1 << 21, np.uint8)
+    values: dict[tuple[tuple[int, ...], ...], complex] = {}  # component -> integral
     total = 0j
     for sigma in classes:
-        total += diagram_integral(f, m, sigma)
+        parts = _components(sigma.blocks, q)
+        if len(parts) == 1:
+            total += diagram_integral(f, m, sigma)
+            continue
+        term = 1 + 0j
+        for blocks in parts:
+            value = values.get(blocks)
+            if value is None:
+                n = sum(map(len, blocks))
+                value = values[blocks] = diagram_integral(f, n // q, SetPartition(n, blocks))
+            term *= value
+        total += term
     return total
 
 

@@ -196,6 +196,8 @@ def cmd_converge(cfg: argparse.Namespace) -> str:
     elif cfg.family == "perturbed-indicator":
         family = perturbed_indicator_family(cfg.bins, cfg.cell_width, cfg.eps0, cfg.rho, cfg.seed)
     else:
+        if cfg.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {cfg.bins}")
         family = hyperdiagonal_family(cfg.q, cfg.bins * cfg.cell_width)
     series = convergence_experiment(family, cfg.steps, cfg.max_order, cfg.tol)
     if cfg.fmt == "csv":

@@ -50,6 +50,8 @@ class GridKernel:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.bins,) * self.arity:
             raise ValueError(f"values shape {vals.shape} != {(self.bins,) * self.arity}")
+        if not np.isfinite(vals).all():
+            raise ValueError("kernel values must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

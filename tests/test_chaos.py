@@ -15,7 +15,9 @@ from freechaos import (
     add,
     adjoint,
     arc_contraction,
+    SetPartition,
     catalan,
+    diagram_integral,
     element_inner,
     free_poisson_moment,
     index_sets,
@@ -212,6 +214,59 @@ def test_moment_diagram_reaches_sixteen_legs():
         f = sym_kernel(q, 2, 0.5, seed)
         for measure in ("poisson", "wigner"):
             assert rel_close(moment_diagram(f, m, measure), moment_product(f, m, measure), 1e-9)
+
+
+def test_moment_diagram_matches_the_per_class_sum():
+    # the old engine, one glued integral per class, survives as this oracle;
+    # a mirror-symmetric kernel of arity 1 is real, so complex ones start at q = 2
+    for q in range(1, 5):
+        for m in range(1, 12 // q + 1):
+            pairings, _, ge2 = chaos.nc0_classes(m, q)
+            for width in (0.7, 1.0):
+                kernels = [sym_kernel(q, 2, width, 10 * m + q)]
+                if q > 1:
+                    kernels.append(hermitian_kernel(q, 2, width, 10 * m + q))
+                for f in kernels:
+                    for measure, classes in (("poisson", ge2), ("wigner", pairings)):
+                        want = sum((diagram_integral(f, m, sigma) for sigma in classes), 0j)
+                        assert rel_close(moment_diagram(f, m, measure), want, 1e-12), (q, m, width, measure)
+
+
+def test_components_are_classes_of_their_own_copies():
+    for q in range(1, 5):
+        for m in range(1, 12 // q + 1):
+            _, _, ge2 = chaos.nc0_classes(m, q)
+            for sigma in ge2:
+                parts = chaos._components(sigma.blocks, q)
+                if len(parts) == 1:
+                    assert parts == [sigma.blocks]
+                    continue
+                assert sum(len(b) for blocks in parts for b in blocks) == m * q
+                for blocks in parts:
+                    k = sum(map(len, blocks)) // q
+                    assert SetPartition(k * q, blocks) in chaos.nc0_classes(k, q)[2]
+
+
+def test_component_split_example():
+    # copies {1,2} {3,4} {5,6} {7,8}: the outer arcs join copies 1 and 4, the
+    # inner ones copies 2 and 3
+    assert chaos._components(((1, 8), (2, 7), (3, 6), (4, 5)), 2) == [((1, 4), (2, 3))] * 2
+    assert chaos._components(((1, 4, 5), (2, 3)), 1) == [((1, 2, 3),), ((1, 2),)]
+
+
+def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
+    calls = []
+    original = chaos.diagram_integral
+
+    def counted(f, m, sigma):
+        calls.append(m)
+        return original(f, m, sigma)
+
+    monkeypatch.setattr(chaos, "diagram_integral", counted)
+    f = sym_kernel(1, 2, 0.7, 70)
+    moment_diagram(f, 12)
+    # 4,213 classes; no block has 11 elements, as it would leave a singleton
+    assert sorted(calls) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
 
 def test_multiset_words_counts():

@@ -433,6 +433,21 @@ def test_converge_zero_bins_is_one_domain_line(capsys):
     assert result == (1, "", "error:domain: bins must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("flag", [("--rho", "nan"), ("--eps0", "inf")], ids=" ".join)
+def test_converge_non_finite_perturbation_is_one_domain_line(capsys, flag):
+    # a NaN table used to reach the mirror check, after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, "converge", "--family", "perturbed-indicator", *flag)
+    assert result == (1, "", "error:domain: kernel values must be finite\n")
+
+
+@pytest.mark.parametrize("bins", ["0", "-2"])
+def test_converge_hyperdiagonal_bad_bins_names_bins(capsys, bins):
+    result = run(capsys, "converge", "--family", "hyperdiagonal", "--bins", bins)
+    assert result == (1, "", f"error:domain: bins must be >= 1, got {bins}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -411,6 +411,12 @@ def test_kernel_dict_validation():
             kernel_from_dict(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_grid_kernel_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GridKernel(1, 2, 1.0, [1.0, bad])
+
+
 def test_subtract_and_scale():
     f = GridKernel.indicator(3)
     z = subtract(f, f)
