@@ -18,6 +18,9 @@ import numpy as np
 from .errors import MAX_NC_GROUND, MAX_RIORDAN_INDEX, GridMismatchError, MirrorSymmetryError, SizeLimitError
 from .kernels import (
     GridKernel,
+    _arc_table,
+    _require_table_size,
+    _star_table,
     adjoint,
     arc_contraction,
     diagram_integral,
@@ -381,12 +384,19 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     """m-th moment as a sum of closed contraction chains.
 
     The chains of every word of length m-2 and every admissible depth tuple
-    are walked as one prefix tree, so each shared chain prefix is contracted
-    once. A node extends its parent's left-nested chain by one arc (letter 0)
-    or star (letter 1) contraction against f. A branch is dropped once its
-    arity is too far from q to return in the steps left, since each step moves
-    the arity by at most q; every leaf then has arity q and is closed by the
-    full arc against one more copy of f.
+    are walked as one prefix tree of raw tables, so each shared chain prefix
+    is contracted once. A node extends its parent's left-nested chain by one
+    arc (letter 0) or star (letter 1) contraction against f. A branch is
+    dropped once its arity is too far from q to return in the steps left,
+    since each step moves the arity by at most q.
+
+    So a chain X of arity a one step from its end has one admissible last
+    step, depth ceil(a/2) with letter a mod 2, to arity q, after which the
+    full arc against one more copy of f closes it. Step and closing fuse into
+    one inner product, arc(X, C_a, a), where C_a is arc_contraction(f, f,
+    q - a/2) for even a and star_contraction(f, f, q - (a-1)/2) for odd a;
+    each C_a is built on first use, in a dict local to the call. Every chain
+    is still closed on its own.
     """
     _require_mirror(f)
     if m < 2:
@@ -394,18 +404,33 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     q = f.arity
     if q < 1:
         raise ValueError(f"need arity >= 1, got {q}")
+    if m == 2:
+        return complex(arc_contraction(f, f, q).values)
+    fv, width = f.values, f.cell_width
+    closing: dict[int, np.ndarray] = {}  # a -> C_a with reversed axes, flat, times cell_width^a
 
-    def walk(chain: GridKernel, steps: int) -> complex:
-        if steps == 0:
-            return complex(arc_contraction(chain, f, q).values)
+    def close(x: np.ndarray) -> complex:
+        a = x.ndim
+        c = closing.get(a)
+        if c is None:
+            contract = star_contraction if a % 2 else arc_contraction
+            table = contract(f, f, q - a // 2).values
+            c = closing[a] = table.transpose(tuple(range(a - 1, -1, -1))).ravel() * width**a
+        return complex(x.ravel() @ c)
+
+    def walk(x: np.ndarray, steps: int) -> complex:
+        if steps == 1:
+            return close(x)
+        arity = x.ndim
         total = 0j
-        for letter, contract in ((0, arc_contraction), (1, star_contraction)):
-            for k in range(letter, min(q, chain.arity) + 1):
-                if abs(chain.arity + letter - 2 * k) <= (steps - 1) * q:
-                    total += walk(contract(chain, f, k), steps - 1)
+        for letter, core in ((0, _arc_table), (1, _star_table)):
+            for k in range(letter, min(q, arity) + 1):
+                if abs(arity + letter - 2 * k) <= (steps - 1) * q:
+                    _require_table_size(f.bins, arity + q + letter - 2 * k)
+                    total += walk(core(x, fv, k, width), steps - 1)
         return total
 
-    return walk(f, m - 2)
+    return walk(fv, m - 2)
 
 
 def free_poisson_moment(lam: float, m: int) -> float:

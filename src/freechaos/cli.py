@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .chaos import moment_report
 from .errors import (
     MAX_PARTITION_GROUND,
@@ -243,10 +245,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _emit(_COMMANDS[args.command](args), args)
+        # a value past the float range ends the run with an error line, not a warning and inf
+        with np.errstate(over="raise", invalid="raise"):
+            text = _COMMANDS[args.command](args)
+        _emit(text, args)
         return 0
     except UsageError as exc:
         return _fail("usage", str(exc))
+    except (FloatingPointError, OverflowError) as exc:  # numpy under the errstate, or a float power
+        return _fail("domain", f"outside the float range: {exc}")
     except Exception as exc:  # noqa: BLE001 - map everything to the error contract
         for etype, code in _ERROR_CODES:
             if isinstance(exc, etype):

@@ -159,15 +159,9 @@ def arc_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
     m, n = f.arity, g.arity
     if not 0 <= k <= min(m, n):
         raise ValueError(f"arc depth {k} outside 0..{min(m, n)}")
-    b = f.bins
-    _require_table_size(b, m + n - 2 * k)
-    # one matrix product: f's free axes against its last k, g's first k (in
-    # reverse order) against its free axes; k = 0 is the outer product
-    g_vals = g.values if k < 2 else g.values.transpose(tuple(range(k - 1, -1, -1)) + tuple(range(k, n)))
-    vals = f.values.reshape(b ** (m - k), b**k) @ g_vals.reshape(b**k, b ** (n - k))
-    if k and f.cell_width != 1:
-        vals *= f.cell_width**k
-    return GridKernel._owned(m + n - 2 * k, b, f.cell_width, vals.reshape((b,) * (m + n - 2 * k)))
+    out_arity = m + n - 2 * k
+    _require_table_size(f.bins, out_arity)
+    return GridKernel._owned(out_arity, f.bins, f.cell_width, _arc_table(f.values, g.values, k, f.cell_width))
 
 
 def star_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
@@ -181,14 +175,34 @@ def star_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
         raise ValueError(f"star depth {k} outside 1..{min(m, n)}")
     out_arity = m + n - 2 * k + 1
     _require_table_size(f.bins, out_arity)
+    return GridKernel._owned(out_arity, f.bins, f.cell_width, _star_table(f.values, g.values, k, f.cell_width))
+
+
+# The table-level cores of the two contractions: a new table from two tables
+# on one grid, with no grid, depth or size check.
+def _arc_table(x: np.ndarray, g: np.ndarray, k: int, cell_width: float) -> np.ndarray:
+    # one matrix product: x's free axes against its last k, g's first k (in
+    # reverse order) against its free axes; k = 0 is the outer product
+    lead, trail = x.shape[: x.ndim - k], g.shape[k:]
+    if k > 1:
+        g = g.transpose(tuple(range(k - 1, -1, -1)) + tuple(range(k, g.ndim)))
+    vals = x.reshape(math.prod(lead), -1) @ g.reshape(-1, math.prod(trail))
+    if k and cell_width != 1:
+        vals *= cell_width**k
+    return vals.reshape(lead + trail)
+
+
+def _star_table(x: np.ndarray, g: np.ndarray, k: int, cell_width: float) -> np.ndarray:
+    m = x.ndim
+    out_arity = m + g.ndim - 2 * k + 1
     shared = m - k  # output slot of the identified variable
     s_labels = list(range(out_arity, out_arity + k - 1))
-    f_labels = list(range(m - k + 1)) + s_labels[::-1]
+    x_labels = list(range(m - k + 1)) + s_labels[::-1]
     g_labels = s_labels + [shared] + list(range(m - k + 1, out_arity))
-    vals = np.einsum(f.values, f_labels, g.values, g_labels, list(range(out_arity)))
-    if k > 1 and f.cell_width != 1:
-        vals *= f.cell_width ** (k - 1)
-    return GridKernel._owned(out_arity, f.bins, f.cell_width, vals)
+    vals = np.einsum(x, x_labels, g, g_labels, list(range(out_arity)))
+    if k > 1 and cell_width != 1:
+        vals *= cell_width ** (k - 1)
+    return vals
 
 
 def norm2(f: GridKernel) -> float:

@@ -1,6 +1,7 @@
 """Chaos algebra: product rules, moment engines, index sets, law oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,38 @@ def test_trace_tree_matches_exhaustive_closing_sum():
                     for r in tuples:
                         oracle += complex(arc_contraction(_chain(f, word.word, r), f, q).values)
             assert rel_close(moment_trace_formula(f, m), oracle, 1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_closing_step_fuses_into_one_arc(q):
+    # a chain X of arity a one step from its leaf has one last step, depth
+    # ceil(a/2) with letter a mod 2; that step and the closing arc make the
+    # single arc of X against C_a (a = 0, the scalar chain, included)
+    for width in (0.7, 1.0):
+        for f in (sym_kernel(q, 3, width, 60 + q), hermitian_kernel(q, 3, width, 70 + q)):
+            for a in range(2 * q + 1):
+                x = random_kernel(a, 3, width, 80 + a, complex_values=True)
+                k = (a + 1) // 2
+                if a % 2:
+                    step, closing = star_contraction(x, f, k), star_contraction(f, f, q - (a - 1) // 2)
+                else:
+                    step, closing = arc_contraction(x, f, k), arc_contraction(f, f, q - a // 2)
+                fused = complex(arc_contraction(x, closing, a).values)
+                assert rel_close(complex(arc_contraction(step, f, q).values), fused, 1e-12), (q, width, a)
+
+
+def test_trace_walk_refuses_an_oversize_chain_before_allocating():
+    # at m = 4 the depth-0 arc of f with itself, 11^6 entries, is a node of the walk
+    f = sym_kernel(3, 11, 1.0, 90)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError) as err:
+            moment_trace_formula(f, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "table would hold 1771561 entries, cap is 1000000"
+    assert peak < 1 << 20
 
 
 def test_free_poisson_moment_values():

@@ -442,6 +442,34 @@ def test_converge_non_finite_perturbation_is_one_domain_line(capsys, flag):
     assert result == (1, "", "error:domain: kernel values must be finite\n")
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (("--rho", "1e200"), "overflow encountered in matmul"),
+        (("--rho", "1e100", "--steps", "2"), "invalid value encountered in scalar multiply"),
+    ],
+    ids=["rho-1e200", "rho-1e100-steps-2"],
+)
+def test_converge_past_the_float_range_is_one_domain_line(capsys, flags, line):
+    # these used to end in an OverflowError traceback after numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, "converge", "--family", "perturbed-indicator", *flags)
+    assert result == (1, "", f"error:domain: outside the float range: {line}\n")
+
+
+def test_float_power_overflow_is_one_domain_line(capsys):
+    # step 1 is tiny, and rho**2 overflows a Python float power at step 2;
+    # the tail of the line is the C library's text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "converge", "--family", "perturbed-indicator", "--rho", "1e200", "--eps0", "1e-300"
+        )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:domain: outside the float range: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bins", ["0", "-2"])
 def test_converge_hyperdiagonal_bad_bins_names_bins(capsys, bins):
     result = run(capsys, "converge", "--family", "hyperdiagonal", "--bins", bins)
