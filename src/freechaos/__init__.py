@@ -1,5 +1,7 @@
 """Discretized chaos-expansion calculus over the free Poisson algebra."""
 
+from types import ModuleType as _ModuleType
+
 from .chaos import (
     ChaosElement,
     IndexSets,
@@ -79,4 +81,5 @@ from .theorems import (
     transfer_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# names only: the submodules stay out of a star import
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -30,6 +30,7 @@ from .kernels import (
     star_contraction,
 )
 from .partitions import SetPartition, catalan, nc0_classes, riordan
+from .records import Record
 
 Measure = Literal["poisson", "wigner"]
 
@@ -110,10 +111,6 @@ def _multiply(a: ChaosElement, b: ChaosElement, with_star: bool, top: float = np
         f = a.terms[p]
         for r in sorted(b.terms):
             g = b.terms[r]
-            if p == 0 or r == 0:
-                if p + r <= top:
-                    _accumulate(acc, p + r, f.values * g.values)
-                continue
             for k in range(0, min(p, r) + 1):
                 if p + r - 2 * k <= top:
                     _accumulate(acc, p + r - 2 * k, arc_contraction(f, g, k).values)
@@ -433,6 +430,14 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     return walk(fv, m - 2)
 
 
+def _float_power(base: float, exp: int) -> float:
+    """base**exp, refused with a ValueError that names both when a float cannot hold it."""
+    try:
+        return base**exp
+    except OverflowError:
+        raise ValueError(f"outside the float range: {base!r}**{exp}") from None
+
+
 def free_poisson_moment(lam: float, m: int) -> float:
     """m-th moment of the centered free Poisson law with rate lam."""
     if not lam > 0:
@@ -440,7 +445,7 @@ def free_poisson_moment(lam: float, m: int) -> float:
     if not 1 <= m <= MAX_RIORDAN_INDEX:
         raise SizeLimitError(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
     table = riordan(m)
-    return float(sum(count * lam**j for j, count in table.counts))
+    return float(sum(count * _float_power(lam, j) for j, count in table.counts))
 
 
 def semicircular_moment(lam: float, m: int) -> float:
@@ -451,12 +456,14 @@ def semicircular_moment(lam: float, m: int) -> float:
         raise ValueError(f"need m >= 1, got {m}")
     if m % 2:
         return 0.0
-    return float(catalan(m // 2) * lam ** (m // 2))
+    return float(catalan(m // 2) * _float_power(lam, m // 2))
 
 
 @dataclass(frozen=True)
-class MomentReport:
+class MomentReport(Record):
     """One computed moment next to its distribution oracle."""
+
+    DERIVED = ("delta",)
 
     q: int
     m: int
@@ -468,18 +475,6 @@ class MomentReport:
     @property
     def delta(self) -> float:
         return self.value.real - self.oracle
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "lambda": self.lam,
-            "method": self.method,
-            "value_re": self.value.real,
-            "value_im": self.value.imag,
-            "oracle": self.oracle,
-            "delta": self.delta,
-        }
 
 
 def moment_report(f: GridKernel, m: int, method: str, measure: Measure = "poisson") -> MomentReport:
@@ -513,10 +508,6 @@ def element_inner(a: ChaosElement, b: ChaosElement) -> complex:
     total = 0j
     for order in sorted(a.terms):
         g = b.terms.get(order)
-        if g is None:
-            continue
-        if order == 0:
-            total += complex(a.terms[0].values) * complex(np.conj(g.values))
-        else:
+        if g is not None:
             total += inner(a.terms[order], g)
     return total

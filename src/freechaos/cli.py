@@ -26,8 +26,8 @@ from .kernels import GridKernel, load_kernel
 from .partitions import _require_nc_enum_ground, bell, catalan, enumerate_nc, nc0_classes, riordan
 # unused here since nc counts in closed form; tracing wraps cli.enumerate_partitions
 from .partitions import enumerate_partitions  # noqa: F401
+from .records import rows_to_csv
 from .theorems import (
-    _rows_to_csv,
     convergence_experiment,
     fourth_moment_identity,
     hyperdiagonal_family,
@@ -181,7 +181,7 @@ def cmd_moments(cfg: argparse.Namespace) -> str:
     methods = ("product", "diagram", "trace") if cfg.method == "all" else (cfg.method,)
     reports = [moment_report(f, cfg.m, method, cfg.measure).to_dict() for method in methods]
     if cfg.fmt == "csv":
-        return _rows_to_csv(reports)
+        return rows_to_csv(reports)
     return _json(reports if len(reports) > 1 else reports[0])
 
 
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except UsageError as exc:
         return _fail("usage", str(exc))
-    except (FloatingPointError, OverflowError) as exc:  # numpy under the errstate, or a float power
+    except (FloatingPointError, OverflowError) as exc:  # numpy under the errstate, or Python float arithmetic
         return _fail("domain", f"outside the float range: {exc}")
     except Exception as exc:  # noqa: BLE001 - map everything to the error contract
         for etype, code in _ERROR_CODES:

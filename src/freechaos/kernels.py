@@ -64,7 +64,7 @@ class GridKernel:
         flag."""
         _require_table_size(bins, arity)
         if not arity:
-            values = np.asarray(values)  # a product of 0-d arrays is a numpy scalar
+            values = np.asarray(values)  # a ufunc on a 0-d array returns a numpy scalar
         values.setflags(write=False)
         kern = cls.__new__(cls)
         kern.__dict__.update(arity=arity, bins=bins, cell_width=cell_width, values=values)
@@ -128,10 +128,8 @@ def adjoint(f: GridKernel) -> GridKernel:
 
 def is_mirror_symmetric(f: GridKernel, tol: float = MIRROR_TOL) -> bool:
     """Whether f equals its adjoint up to tol, relative to the peak value."""
-    gap = float(np.max(np.abs(f.values - adjoint(f).values))) if f.arity else abs(
-        complex(f.values) - complex(np.conj(f.values))
-    )
-    scale_ = max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
+    gap = float(np.max(np.abs(f.values - adjoint(f).values)))
+    scale_ = max(1.0, float(np.max(np.abs(f.values))))
     return gap <= tol * scale_
 
 
@@ -289,15 +287,10 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
 def kernel_to_dict(f: GridKernel) -> dict:
     """File form: grid header plus sparse [i1..iq, re, im] rows for nonzero cells."""
     entries: list[list] = []
-    if f.arity == 0:
-        v = complex(f.values)
+    for idx in np.ndindex(*f.values.shape):
+        v = complex(f.values[idx])
         if v != 0:
-            entries.append([v.real, v.imag])
-    else:
-        for idx in np.ndindex(*f.values.shape):
-            v = complex(f.values[idx])
-            if v != 0:
-                entries.append([*map(int, idx), v.real, v.imag])
+            entries.append([*map(int, idx), v.real, v.imag])
     return {"q": f.arity, "bins": f.bins, "cell_width": f.cell_width, "entries": entries}
 
 

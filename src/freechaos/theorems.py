@@ -4,8 +4,6 @@ the indicator characterization, and the convergence and transfer experiments.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -13,6 +11,7 @@ import numpy as np
 
 from .chaos import (
     Measure,
+    _float_power,
     _require_mirror,
     free_poisson_moment,
     moment_diagram,
@@ -28,27 +27,10 @@ from .kernels import (
     star_contraction,
     subtract,
 )
+from .records import Record, rows_to_csv
 
 STAT_IMAG_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-9
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    keys = list(rows[0].keys())
-    writer.writerow(keys)
-    for row in rows:
-        writer.writerow([_cell(row[k]) for k in keys])
-    return out.getvalue()
-
-
-def _cell(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
 
 
 def _real_part(value: complex, what: str) -> float:
@@ -65,9 +47,11 @@ def fourth_moment_statistic(f: GridKernel, measure: Measure = "poisson") -> floa
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Exact decomposition of m4 - 2*m3 + lambda into 2*lambda^2 plus
     squared contraction norms, one label per term."""
+
+    DERIVED = ("delta",)
 
     q: int
     lam: float
@@ -79,48 +63,29 @@ class IdentityReport:
     def delta(self) -> float:
         return self.lhs - self.rhs
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "lambda": self.lam,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "delta": self.delta,
-            "terms": dict(self.terms),
-        }
-
     def to_csv(self) -> str:
         row = self.to_dict()
         terms = row.pop("terms")
-        return _rows_to_csv([row | terms])
+        return rows_to_csv([row | terms])
 
 
 def identity_terms(f: GridKernel) -> dict[str, float]:
     """The squared contraction norms on the decomposition's right side.
 
-    Odd arity: the residual is the midpoint shared-variable contraction minus
-    f itself; every other arc depth 1..q-1 and star depth 1..q appears squared.
-    Even arity: the residual uses the half-depth arc instead, and all star
-    depths appear.
+    The residual comes first: the midpoint shared-variable contraction
+    (star (q+1)/2) minus f itself for odd arity, the half-depth arc minus f
+    for even arity. Then every other arc depth 1..q-1 and star depth 1..q
+    appears squared.
     """
     q = f.arity
-    terms: dict[str, float] = {}
-    if q % 2:
-        mid = (q + 1) // 2
-        terms[f"star_{mid}_minus_f"] = norm2(subtract(star_contraction(f, f, mid), f))
-        for r in range(1, q):
-            terms[f"arc_{r}"] = norm2(arc_contraction(f, f, r))
-        for r in range(1, q + 1):
-            if r != mid:
-                terms[f"star_{r}"] = norm2(star_contraction(f, f, r))
-    else:
-        half = q // 2
-        terms[f"arc_{half}_minus_f"] = norm2(subtract(arc_contraction(f, f, half), f))
-        for r in range(1, q):
-            if r != half:
-                terms[f"arc_{r}"] = norm2(arc_contraction(f, f, r))
-        for r in range(1, q + 1):
-            terms[f"star_{r}"] = norm2(star_contraction(f, f, r))
+    residual = ("star", (q + 1) // 2) if q % 2 else ("arc", q // 2)
+    # built per call, so that a wrapper on this module's names sees every call
+    contract = {"arc": arc_contraction, "star": star_contraction}
+    kind, r = residual
+    terms = {f"{kind}_{r}_minus_f": norm2(subtract(contract[kind](f, f, r), f))}
+    for kind, r in [("arc", r) for r in range(1, q)] + [("star", r) for r in range(1, q + 1)]:
+        if (kind, r) != residual:
+            terms[f"{kind}_{r}"] = norm2(contract[kind](f, f, r))
     return terms
 
 
@@ -148,7 +113,7 @@ def fourth_moment_identity(f: GridKernel) -> IdentityReport:
 
 
 @dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(Record):
     """Whether a real arity-1 kernel is {0,1}-valued, with the moment cross-check."""
 
     is_indicator: bool
@@ -157,16 +122,6 @@ class IndicatorReport:
     oracle: tuple[float, ...]
     max_gap: float
     moments_match: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "is_indicator": self.is_indicator,
-            "lambda": self.lam,
-            "moments": list(self.moments),
-            "oracle": list(self.oracle),
-            "max_gap": self.max_gap,
-            "moments_match": self.moments_match,
-        }
 
 
 INDICATOR_VALUE_TOL = 1e-12
@@ -231,7 +186,7 @@ def perturbed_indicator_family(
     base = np.ones(bins)
 
     def at(n: int) -> GridKernel:
-        eps = eps0 * rho**n
+        eps = eps0 * _float_power(rho, n)
         return GridKernel(1, bins, cell_width, (base + eps * g).astype(np.complex128))
 
     return KernelFamily("perturbed-indicator", at)
@@ -261,7 +216,9 @@ def hyperdiagonal_family(q: int = 2, spread: float = 1.0, height: float = 1.0) -
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
+    DERIVED = ("delta",)
+
     step: int
     lam: float
     statistic: float
@@ -273,25 +230,16 @@ class StepRecord:
     def delta(self) -> float:
         return self.statistic - self.target
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "lambda": self.lam,
-            "statistic": self.statistic,
-            "target": self.target,
-            "delta": self.delta,
-            "moment_gap": self.moment_gap,
-            "terms": dict(self.terms),
-        }
-
 
 @dataclass(frozen=True)
-class ConvergenceSeries:
+class ConvergenceSeries(Record):
     """Per-step statistics for a kernel family against per-step targets.
 
     Only the final gaps are compared to the threshold; nothing is claimed
     about monotonicity along the way.
     """
+
+    DERIVED = ("final_statistic_gap", "final_moment_gap", "converged")
 
     family: str
     q: int
@@ -314,22 +262,10 @@ class ConvergenceSeries:
             and self.final_moment_gap <= self.gap_threshold
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "q": self.q,
-            "moment_order": self.moment_order,
-            "gap_threshold": self.gap_threshold,
-            "final_statistic_gap": self.final_statistic_gap,
-            "final_moment_gap": self.final_moment_gap,
-            "converged": self.converged,
-            "records": [r.to_dict() for r in self.records],
-        }
-
     def to_csv(self) -> str:
         term_keys = sorted({k for r in self.records for k in r.terms})
-        return _rows_to_csv([
-            {"step": r.step, "lambda": r.lam, "statistic": r.statistic, "target": r.target, "delta": r.delta}
+        return rows_to_csv([
+            {k: v for k, v in r.to_dict().items() if k not in ("moment_gap", "terms")}
             | {k: r.terms.get(k, 0.0) for k in term_keys}
             for r in self.records
         ])
@@ -370,7 +306,9 @@ def convergence_experiment(
 
 
 @dataclass(frozen=True)
-class TransferRow:
+class TransferRow(Record):
+    DERIVED = ("poisson_gap", "wigner_gap")
+
     m: int
     poisson: float
     wigner: float
@@ -385,31 +323,17 @@ class TransferRow:
     def wigner_gap(self) -> float:
         return abs(self.wigner - self.wigner_oracle)
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "poisson": self.poisson,
-            "wigner": self.wigner,
-            "poisson_oracle": self.poisson_oracle,
-            "wigner_oracle": self.wigner_oracle,
-            "poisson_gap": self.poisson_gap,
-            "wigner_gap": self.wigner_gap,
-        }
-
 
 @dataclass(frozen=True)
-class TransferReport:
+class TransferReport(Record):
     """The same kernel's moments under both product rules, next to both laws."""
 
     q: int
     lam: float
     rows: tuple[TransferRow, ...]
 
-    def to_dict(self) -> dict:
-        return {"q": self.q, "lambda": self.lam, "rows": [r.to_dict() for r in self.rows]}
-
     def to_csv(self) -> str:
-        return _rows_to_csv([r.to_dict() for r in self.rows])
+        return rows_to_csv([r.to_dict() for r in self.rows])
 
 
 def transfer_experiment(f: GridKernel, max_order: int) -> TransferReport:

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from freechaos import (
     free_poisson_moment,
     index_sets,
     inner,
+    is_mirror_symmetric,
+    kernel_from_dict,
+    kernel_to_dict,
     moment_diagram,
     moment_product,
     moment_report,
@@ -38,6 +42,7 @@ from freechaos import (
     trace,
     wigner_multiply,
 )
+import freechaos
 from freechaos import chaos
 from freechaos.chaos import _admissible_tuples, _chain
 
@@ -73,6 +78,28 @@ def test_scalar_terms_multiply_through():
     assert scaled.orders() == (1,)
     assert np.allclose(scaled.term(1).values, 2.5 * f.values)
     assert trace(poisson_multiply(c, c)) == 6.25
+
+
+def test_order_zero_is_an_ordinary_arity_zero_term():
+    # a complex scalar through the product, the inner product, the mirror
+    # check and the file form, none of which treats arity 0 apart
+    f = hermitian_kernel(2, 3, 0.7, 8)
+    x = ChaosElement.integral(f)
+    c = 2.5 - 1.5j
+    cx = ChaosElement.from_scalar(c, 3, 0.7)
+    for mul in (poisson_multiply, wigner_multiply):
+        for prod in (mul(cx, x), mul(x, cx)):
+            assert prod.orders() == (2,)
+            assert np.max(np.abs(prod.term(2).values - c * f.values)) <= 1e-15 * np.max(np.abs(c * f.values))
+        assert abs(trace(mul(cx, cx)) - c * c) <= 1e-15 * abs(c * c)
+    b = 0.5 + 2j
+    assert abs(element_inner(cx, ChaosElement.from_scalar(b, 3, 0.7)) - c * np.conj(b)) <= 1e-15 * abs(c * b)
+    assert is_mirror_symmetric(GridKernel.constant(2.0, 3, 0.7))
+    assert not is_mirror_symmetric(GridKernel.constant(1j, 3, 0.7))
+    d = kernel_to_dict(GridKernel.constant(c, 3, 0.7))
+    assert d["q"] == 0 and d["entries"] == [[2.5, -1.5]]
+    back = kernel_from_dict(d)
+    assert back.arity == 0 and complex(back.values) == c
 
 
 def test_product_associativity():
@@ -449,6 +476,13 @@ def test_free_poisson_moment_values():
         free_poisson_moment(1.0, 15)
 
 
+@pytest.mark.parametrize("oracle", [free_poisson_moment, semicircular_moment])
+def test_law_oracles_refuse_a_float_power_past_the_float_range(oracle):
+    # 1e200**2 overflows a Python float power
+    with pytest.raises(ValueError, match=r"^outside the float range: 1e\+200\*\*2$"):
+        oracle(1e200, 4)
+
+
 def test_free_poisson_moments_match_riordan_totals_at_unit_rate():
     for m in range(2, 9):
         assert rel_close(free_poisson_moment(1.0, m), riordan(m).total)
@@ -497,3 +531,23 @@ def test_moment_report_checks_the_oracle_order_before_any_engine(monkeypatch):
             moment_report(f, 15, method)
     with pytest.raises(ValueError, match="method must be"):
         moment_report(f, 15, "nonsense")
+
+
+def test_star_import_exports_no_submodules():
+    assert not [name for name in freechaos.__all__ if isinstance(getattr(freechaos, name), ModuleType)]
+    assert freechaos.__all__ == sorted(
+        """
+        ChaosElement ConvergenceSeries GridKernel GridMismatchError GroundSetMismatchError
+        IdentityMismatchError IdentityReport IndexSets IndicatorReport KernelFamily MirrorSymmetryError
+        MomentReport MultisetWord RiordanTable SetPartition SizeLimitError StepRecord TamednessReport
+        TransferReport TransferRow add adjoint arc_contraction bell block_partition catalan
+        convergence_experiment diagram_integral element_inner enumerate_nc enumerate_partitions
+        fourth_moment_identity fourth_moment_statistic free_poisson_moment hyperdiagonal_family
+        identity_terms index_sets indicator_characterization indicator_family inner intersection_split
+        is_mirror_symmetric is_noncrossing kernel_from_dict kernel_to_dict load_kernel meet_is_zero
+        moment_diagram moment_product moment_report moment_trace_formula multiset_words nc0_classes
+        norm2 perturbed_indicator_family poisson_multiply power_expansion riordan riordan_number
+        save_kernel scale semicircular_moment star_contraction subtract tamedness_report trace
+        transfer_experiment wigner_multiply
+        """.split()
+    )

@@ -101,6 +101,28 @@ def test_identity_report_dict_shape():
     assert d["q"] == 1 and d["lambda"] == 2.0
 
 
+def test_indicator_report_dict_shape():
+    d = indicator_characterization(GridKernel.indicator(2)).to_dict()
+    assert list(d) == ["is_indicator", "lambda", "moments", "oracle", "max_gap", "moments_match"]
+    assert type(d["moments"]) is list and type(d["oracle"]) is list and len(d["moments"]) == 6
+    assert d["lambda"] == 2.0 and d["is_indicator"] is True
+    assert json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "q, keys",
+    [
+        (1, ["star_1_minus_f"]),
+        (2, ["arc_1_minus_f", "star_1", "star_2"]),
+        (3, ["star_2_minus_f", "arc_1", "arc_2", "star_1", "star_3"]),
+        (4, ["arc_2_minus_f", "arc_1", "arc_3", "star_1", "star_2", "star_3", "star_4"]),
+    ],
+)
+def test_identity_terms_key_order(q, keys):
+    # the CSV columns of identity and converge follow this order
+    assert list(identity_terms(GridKernel.random_mirror_symmetric(q, 2, 1.0, q))) == keys
+
+
 def test_indicator_characterization_accepts_indicator():
     rep = indicator_characterization(GridKernel.indicator(5, cells=[0, 2, 3]))
     assert rep.is_indicator and rep.moments_match
@@ -214,6 +236,13 @@ def test_convergence_input_checks():
         convergence_experiment(indicator_family(2), 0)
     with pytest.raises(ValueError):
         convergence_experiment(indicator_family(2), 1, moment_order=0)
+
+
+def test_perturbed_family_refuses_a_float_power_past_the_float_range():
+    family = perturbed_indicator_family(rho=1e200)
+    family.kernel_at(1)
+    with pytest.raises(ValueError, match=r"^outside the float range: 1e\+200\*\*2$"):
+        family.kernel_at(2)
 
 
 def test_transfer_unit_rate_rows():
