@@ -4,17 +4,13 @@ from types import ModuleType as _ModuleType
 
 from .chaos import (
     ChaosElement,
-    IndexSets,
     MomentReport,
-    MultisetWord,
     element_inner,
     free_poisson_moment,
-    index_sets,
     moment_diagram,
     moment_product,
     moment_report,
     moment_trace_formula,
-    multiset_words,
     poisson_multiply,
     power_expansion,
     semicircular_moment,
@@ -51,11 +47,9 @@ from .partitions import (
     RiordanTable,
     SetPartition,
     bell,
-    block_partition,
     catalan,
     enumerate_nc,
     enumerate_partitions,
-    intersection_split,
     is_noncrossing,
     meet_is_zero,
     nc0_classes,

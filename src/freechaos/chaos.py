@@ -30,7 +30,7 @@ from .kernels import (
     star_contraction,
 )
 from .partitions import SetPartition, catalan, nc0_classes, riordan
-from .records import Record
+from .records import Record, require_finite
 
 Measure = Literal["poisson", "wigner"]
 
@@ -241,47 +241,6 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     return total
 
 
-@dataclass(frozen=True)
-class MultisetWord:
-    """Binary word of length m-1 marking which product steps keep a shared variable."""
-
-    m: int
-    word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got {self.m}")
-        if len(self.word) != self.m - 1:
-            raise ValueError(f"word length {len(self.word)} != m-1 = {self.m - 1}")
-        if any(c not in (0, 1) for c in self.word):
-            raise ValueError("word letters must be 0 or 1")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.word)
-
-    @classmethod
-    def zeros(cls, m: int) -> MultisetWord:
-        return cls(m, (0,) * (m - 1))
-
-    @classmethod
-    def ones(cls, m: int) -> MultisetWord:
-        return cls(m, (1,) * (m - 1))
-
-
-def multiset_words(m: int, weight: int) -> list[MultisetWord]:
-    """All length-(m-1) binary words of the given weight, lexicographic."""
-    if not 0 <= weight <= m - 1:
-        return []
-    out = []
-    for pos in itertools.combinations(range(m - 1), weight):
-        w = [0] * (m - 1)
-        for p in pos:
-            w[p] = 1
-        out.append(MultisetWord(m, tuple(w)))
-    return out
-
-
 def _admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # depth k of a step covers the shared variable (word letter c) and cannot
     # exceed q or the arity the chain has reached, which the step then moves
@@ -295,56 +254,6 @@ def _admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[
             yield from grow(prefix + (k,), arity + q + c - 2 * k)
 
     yield from grow((), q)
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """Contraction-depth tuples attached to a word, graded by what they select.
-
-    admissible: every tuple a product chain can realize.
-    closed: admissible tuples whose chain ends at order 0 (2*sum(r) = mq + weight).
-    aligned: closed tuples with every depth in {0, (q+1)/2, q}, the letter
-             forcing the midpoint exactly at the shared-variable steps;
-             only defined for odd q (aligned_defined marks that).
-    remainder: closed tuples not aligned.
-    """
-
-    m: int
-    q: int
-    word: MultisetWord
-    admissible: tuple[tuple[int, ...], ...]
-    closed: tuple[tuple[int, ...], ...]
-    aligned: tuple[tuple[int, ...], ...]
-    remainder: tuple[tuple[int, ...], ...]
-    aligned_defined: bool
-
-
-def index_sets(m: int, q: int, word: MultisetWord) -> IndexSets:
-    """Enumerate the depth-tuple families for one word."""
-    if m < 2 or q < 1:
-        raise ValueError(f"need m >= 2 and q >= 1, got m={m}, q={q}")
-    if word.m != m:
-        raise ValueError(f"word is for m={word.m}, not m={m}")
-    admissible = tuple(_admissible_tuples(m, q, word.word))
-    target = m * q + word.weight
-    closed = tuple(r for r in admissible if 2 * sum(r) == target)
-    aligned_defined = q % 2 == 1
-    aligned: tuple[tuple[int, ...], ...] = ()
-    if aligned_defined:
-        mid = (q + 1) // 2
-        picked = []
-        for r in closed:
-            ok = all(v in (0, mid, q) for v in r)
-            ok = ok and all(
-                ((v in (0, q)) == (c == 0)) and ((v == mid) == (c == 1))
-                for v, c in zip(r, word.word)
-            )
-            if ok:
-                picked.append(r)
-        aligned = tuple(picked)
-    aligned_set = set(aligned)
-    remainder = tuple(r for r in closed if r not in aligned_set)
-    return IndexSets(m, q, word, admissible, closed, aligned, remainder, aligned_defined)
 
 
 def _chain(f: GridKernel, word: tuple[int, ...], depths: tuple[int, ...]) -> GridKernel:
@@ -361,19 +270,19 @@ def _chain(f: GridKernel, word: tuple[int, ...], depths: tuple[int, ...]) -> Gri
 def power_expansion(f: GridKernel, m: int) -> ChaosElement:
     """Closed form of the m-th power of the chaos integral of f.
 
-    Sums left-nested contraction chains over all words and admissible depth
+    Sums left-nested contraction chains over all 0/1 words of length m-1 (a
+    1 marks a product step that keeps a shared variable) and admissible depth
     tuples; the term for word sigma and depths r lands at order
-    mq + weight(sigma) - 2*sum(r).
+    mq + weight(sigma) - 2*sum(r), where weight(sigma) counts its 1s.
     """
     _require_mirror(f)
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     q = f.arity
     acc: dict[int, np.ndarray] = {}
-    for weight in range(m):
-        for word in multiset_words(m, weight):
-            for depths in _admissible_tuples(m, q, word.word):
-                _accumulate(acc, m * q + weight - 2 * sum(depths), _chain(f, word.word, depths).values)
+    for word in itertools.product((0, 1), repeat=m - 1):
+        for depths in _admissible_tuples(m, q, word):
+            _accumulate(acc, m * q + sum(word) - 2 * sum(depths), _chain(f, word, depths).values)
     return _build(f.bins, f.cell_width, acc)
 
 
@@ -444,8 +353,8 @@ def free_poisson_moment(lam: float, m: int) -> float:
         raise ValueError(f"rate must be > 0, got {lam}")
     if not 1 <= m <= MAX_RIORDAN_INDEX:
         raise SizeLimitError(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
-    table = riordan(m)
-    return float(sum(count * _float_power(lam, j) for j, count in table.counts))
+    total = float(sum(count * _float_power(lam, j) for j, count in riordan(m).counts))
+    return require_finite(f"free_poisson_moment({lam!r}, {m})", total)
 
 
 def semicircular_moment(lam: float, m: int) -> float:
@@ -456,7 +365,8 @@ def semicircular_moment(lam: float, m: int) -> float:
         raise ValueError(f"need m >= 1, got {m}")
     if m % 2:
         return 0.0
-    return float(catalan(m // 2) * _float_power(lam, m // 2))
+    total = float(catalan(m // 2) * _float_power(lam, m // 2))
+    return require_finite(f"semicircular_moment({lam!r}, {m})", total)
 
 
 @dataclass(frozen=True)

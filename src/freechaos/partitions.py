@@ -122,26 +122,42 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
-@lru_cache(maxsize=4)
-def _nc_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Non-crossing partitions of [n] by direct recursive insertion.
+def _staircase_blocks(n: int, q: int, singletons: bool) -> list[tuple[tuple[int, ...], ...]]:
+    """Non-crossing partitions of [n] whose meet with the partition into runs
+    of q consecutive elements is zero, as canonical block tuples, grown by
+    depth-first staircase insertion.
 
     Each state carries its staircase: the blocks that can still accept the
     next element without creating a crossing, ordered by descending maximum.
-    Appending element e to staircase block s keeps s and everything below it
-    addable and buries the blocks above it.
+    Element e opens a block or joins a staircase block s, which keeps s and
+    everything below it addable and buries the blocks above it. Element e
+    never joins a block whose maximum lies in e's own run (runs are
+    consecutive, so this is exactly the zero meet); at q = 1 that cut never
+    fires. Without singletons, a branch is cut as soon as no completion can
+    be kept: a join never buries a singleton, and the last element never
+    opens a block.
     """
-    states: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [(((1,),), (0,))]
-    for e in range(2, n + 1):
-        grown: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
-        for blocks, stair in states:
-            grown.append((blocks + ((e,),), (len(blocks),) + stair))
-            for si, bi in enumerate(stair):
-                nb = list(blocks)
-                nb[bi] = nb[bi] + (e,)
-                grown.append((tuple(nb), (bi,) + stair[si + 1:]))
-        states = grown
-    return tuple(blocks for blocks, _ in states)
+    kept: list[tuple[tuple[int, ...], ...]] = []
+
+    def grow(e: int, blocks: tuple[tuple[int, ...], ...], stair: tuple[int, ...]) -> None:
+        if e > n:
+            if singletons or all(len(blocks[bi]) > 1 for bi in stair):
+                kept.append(blocks)
+            return
+        if singletons or e < n:
+            grow(e + 1, blocks + ((e,),), (len(blocks),) + stair)
+        run = (e - 1) // q
+        for si, bi in enumerate(stair):
+            if not singletons and si and len(blocks[stair[si - 1]]) == 1:
+                break  # joining here or lower would bury a singleton
+            if (blocks[bi][-1] - 1) // q == run:
+                continue
+            nb = list(blocks)
+            nb[bi] = nb[bi] + (e,)
+            grow(e + 1, tuple(nb), (bi,) + stair[si + 1:])
+
+    grow(2, ((1,),), (0,))
+    return kept
 
 
 def _require_nc_enum_ground(n: int) -> None:
@@ -152,15 +168,7 @@ def _require_nc_enum_ground(n: int) -> None:
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n], Catalan(n) of them."""
     _require_nc_enum_ground(n)
-    return [SetPartition(n, blocks) for blocks in _nc_blocks(n)]
-
-
-def block_partition(m: int, q: int) -> SetPartition:
-    """The partition of [mq] into m consecutive blocks of size q."""
-    if m < 1 or q < 1:
-        raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
-    blocks = tuple(tuple(range((j - 1) * q + 1, j * q + 1)) for j in range(1, m + 1))
-    return SetPartition(m * q, blocks)
+    return [SetPartition(n, blocks) for blocks in _staircase_blocks(n, 1, singletons=True)]
 
 
 def meet_is_zero(sigma: SetPartition, pi: SetPartition) -> bool:
@@ -187,67 +195,21 @@ def nc0_classes(
     m: int, q: int
 ) -> tuple[tuple[SetPartition, ...], tuple[SetPartition, ...], tuple[SetPartition, ...]]:
     """Non-crossing partitions of [mq] with no singleton whose meet with the
-    block partition is zero, split by block size: (all blocks = 2,
-    all blocks > 2, all blocks >= 2).
+    block partition (m runs of q consecutive elements) is zero, split by block
+    size: (all blocks = 2, all blocks > 2, all blocks >= 2).
 
-    They are grown by the staircase insertion of _nc_blocks, and a branch is
-    cut as soon as no completion can be kept: element e never joins a block
-    whose maximum lies in e's own kernel copy (copies are consecutive, so this
-    is exactly the zero meet), a join never buries a singleton, and the last
-    element never opens a block. Survivors come out in _nc_blocks order.
+    They come from the staircase generator with its singleton cuts on, in
+    the order enumerate_nc lists them.
     """
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     n = m * q
     if n > MAX_NC_GROUND:
         raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {n}")
-    kept: list[SetPartition] = []
-
-    def grow(e: int, blocks: tuple[tuple[int, ...], ...], stair: tuple[int, ...]) -> None:
-        if e > n:
-            if all(len(blocks[bi]) > 1 for bi in stair):
-                kept.append(SetPartition(n, blocks))
-            return
-        if e < n:
-            grow(e + 1, blocks + ((e,),), (len(blocks),) + stair)
-        copy = (e - 1) // q
-        for si, bi in enumerate(stair):
-            if si and len(blocks[stair[si - 1]]) == 1:
-                break  # joining here or lower would bury a singleton
-            if (blocks[bi][-1] - 1) // q == copy:
-                continue
-            nb = list(blocks)
-            nb[bi] = nb[bi] + (e,)
-            grow(e + 1, tuple(nb), (bi,) + stair[si + 1:])
-
-    grow(2, ((1,),), (0,))
+    kept = [SetPartition(n, blocks) for blocks in _staircase_blocks(n, q, singletons=False)]
     pairings = tuple(p for p in kept if all(s == 2 for s in p.block_sizes()))
     big = tuple(p for p in kept if all(s > 2 for s in p.block_sizes()))
     return pairings, big, tuple(kept)
-
-
-def intersection_split(
-    m: int, q: int
-) -> tuple[tuple[SetPartition, ...], tuple[SetPartition, ...]]:
-    """Split the all-blocks->2 class by intersection sizes against the block partition.
-
-    First list: every block of tau meets every base block in 0, (q+1)/2, or q
-    elements. Second list: the rest. Only defined for odd q.
-    """
-    if q % 2 == 0:
-        raise ValueError(f"intersection_split needs odd q, got {q}")
-    _, big, _ = nc0_classes(m, q)
-    pi = block_partition(m, q)
-    allowed = {0, (q + 1) // 2, q}
-    first: list[SetPartition] = []
-    second: list[SetPartition] = []
-    for tau in big:
-        sets = [set(b) for b in tau.blocks]
-        if all(len(s & set(pb)) in allowed for s in sets for pb in pi.blocks):
-            first.append(tau)
-        else:
-            second.append(tau)
-    return tuple(first), tuple(second)
 
 
 @dataclass(frozen=True)

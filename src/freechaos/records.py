@@ -5,8 +5,9 @@ dataclass fields in declaration order and then the properties named in
 DERIVED, so the dict's key order is the report's CSV column order (JSON output
 is key-sorted and does not depend on it). The field `lam` is written as
 "lambda", a complex value as `<name>_re` and `<name>_im`, a tuple as a list
-(with records inside it as dicts), and a dict as a copy. rows_to_csv writes
-such dicts as CSV, one row each, under the first row's keys.
+(with records inside it as dicts), and a dict as a copy. A float that is not
+finite is refused, since neither JSON nor a number column can hold it.
+rows_to_csv writes such dicts as CSV, one row each, under the first row's keys.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from typing import ClassVar
 
 
@@ -28,14 +30,22 @@ class Record:
             value = getattr(self, name)
             key = "lambda" if name == "lam" else name
             if isinstance(value, complex):
-                out[f"{key}_re"], out[f"{key}_im"] = value.real, value.imag
+                out[f"{key}_re"] = require_finite(f"{key}_re", value.real)
+                out[f"{key}_im"] = require_finite(f"{key}_im", value.imag)
             elif isinstance(value, tuple):
-                out[key] = [v.to_dict() if isinstance(v, Record) else v for v in value]
+                out[key] = [v.to_dict() if isinstance(v, Record) else require_finite(key, v) for v in value]
             elif isinstance(value, dict):
-                out[key] = dict(value)
+                out[key] = {k: require_finite(k, v) for k, v in value.items()}
             else:
-                out[key] = value
+                out[key] = require_finite(key, value)
         return out
+
+
+def require_finite(key: str, value):
+    """value itself, refused with a ValueError that names key when it is a non-finite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"outside the float range: {key} = {value!r}")
+    return value
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -27,7 +27,7 @@ from .kernels import (
     star_contraction,
     subtract,
 )
-from .records import Record, rows_to_csv
+from .records import Record, require_finite, rows_to_csv
 
 STAT_IMAG_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-9
@@ -104,8 +104,8 @@ def fourth_moment_identity(f: GridKernel) -> IdentityReport:
     lhs = m4 - 2 * m3 + lam
     terms = identity_terms(f)
     rhs = 2 * lam * lam + sum(terms.values())
-    report = IdentityReport(f.arity, lam, lhs, rhs, terms)
-    if abs(report.delta) > IDENTITY_REL_TOL * max(1.0, abs(lhs)):
+    report = IdentityReport(f.arity, lam, require_finite("lhs", lhs), require_finite("rhs", rhs), terms)
+    if not abs(report.delta) <= IDENTITY_REL_TOL * max(1.0, abs(lhs)):  # a NaN delta fails too
         raise IdentityMismatchError(
             f"decomposition mismatch: lhs={lhs!r}, rhs={rhs!r}, delta={report.delta!r}"
         )

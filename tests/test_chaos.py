@@ -12,7 +12,6 @@ from freechaos import (
     ChaosElement,
     GridKernel,
     MirrorSymmetryError,
-    MultisetWord,
     SizeLimitError,
     add,
     adjoint,
@@ -22,7 +21,6 @@ from freechaos import (
     diagram_integral,
     element_inner,
     free_poisson_moment,
-    index_sets,
     inner,
     is_mirror_symmetric,
     kernel_from_dict,
@@ -31,7 +29,6 @@ from freechaos import (
     moment_product,
     moment_report,
     moment_trace_formula,
-    multiset_words,
     norm2,
     poisson_multiply,
     power_expansion,
@@ -47,6 +44,7 @@ from freechaos import chaos
 from freechaos.chaos import _admissible_tuples, _chain
 
 from conftest import element_gap, random_kernel, rel_close
+from proof_structure import index_sets, words
 
 
 def sym_kernel(q, bins, width, seed):
@@ -297,47 +295,33 @@ def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
     assert sorted(calls) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
 
 
-def test_multiset_words_counts():
-    for m in (2, 3, 5):
-        for i in range(m):
-            words = multiset_words(m, i)
-            assert len(words) == len(list(itertools.combinations(range(m - 1), i)))
-            assert all(w.weight == i for w in words)
-    assert multiset_words(3, 5) == []
-    assert MultisetWord.ones(4).word == (1, 1, 1)
-    with pytest.raises(ValueError):
-        MultisetWord(3, (0, 1, 0))
-    with pytest.raises(ValueError):
-        MultisetWord(3, (2, 0))
-
-
 def test_index_sets_basic_families():
-    s = index_sets(2, 1, MultisetWord.zeros(2))
+    s = index_sets(2, 1, (0,))
     assert s.admissible == ((0,), (1,))
     assert s.closed == ((1,),)
-    s22 = index_sets(2, 2, MultisetWord.zeros(2))
+    s22 = index_sets(2, 2, (0,))
     assert s22.admissible == ((0,), (1,), (2,))
     assert s22.closed == ((2,),)
-    s_one = index_sets(2, 2, MultisetWord.ones(2))
+    s_one = index_sets(2, 2, (1,))
     assert all(r[0] >= 1 for r in s_one.admissible)
 
 
 def test_index_sets_alignment_split():
-    s = index_sets(2, 3, MultisetWord.ones(2))
+    s = index_sets(2, 3, (1,))
     # closed tuples pair 2*r = 6+1, impossible; use m=3 instead
     assert s.closed == ()
-    t = index_sets(3, 3, MultisetWord(3, (1, 0)))
+    t = index_sets(3, 3, (1, 0))
     assert t.aligned_defined
     for r in t.aligned:
         assert all(v in (0, 2, 3) for v in r)
-        for v, c in zip(r, t.word.word):
+        for v, c in zip(r, t.word):
             assert (v == 2) == (c == 1)
     assert set(t.aligned) | set(t.remainder) == set(t.closed)
     assert not set(t.aligned) & set(t.remainder)
 
 
 def test_index_sets_even_q_has_no_aligned_family():
-    s = index_sets(3, 2, MultisetWord.zeros(3))
+    s = index_sets(3, 2, (0, 0))
     assert not s.aligned_defined
     assert s.aligned == ()
     assert s.remainder == s.closed
@@ -345,7 +329,7 @@ def test_index_sets_even_q_has_no_aligned_family():
 
 def test_index_sets_word_length_mismatch():
     with pytest.raises(ValueError):
-        index_sets(3, 2, MultisetWord.zeros(2))
+        index_sets(3, 2, (0,))
 
 
 def test_power_expansion_matches_iterated_product():
@@ -373,7 +357,7 @@ def test_power_expansion_orders_lie_in_admissible_support():
     m, q = 3, 2
     reachable = set()
     for weight in range(m):
-        for word in multiset_words(m, weight):
+        for word in words(m, weight):
             for r in index_sets(m, q, word).admissible:
                 reachable.add(m * q + weight - 2 * sum(r))
     assert set(power_expansion(f, m).orders()) <= reachable
@@ -418,16 +402,14 @@ def test_trace_tree_matches_exhaustive_closing_sum():
         for m in ms:
             oracle = 0j
             for weight in range(m - 1):
-                for word in multiset_words(m - 1, weight):
+                for word in words(m - 1, weight):
                     target = (m - 2) * q + weight
-                    tuples = [
-                        r for r in _admissible_tuples(m - 1, q, word.word) if 2 * sum(r) == target
-                    ]
+                    tuples = [r for r in _admissible_tuples(m - 1, q, word) if 2 * sum(r) == target]
                     # a word whose weight has the wrong parity admits no closing tuple
                     if (weight - m * q) % 2:
                         assert tuples == []
                     for r in tuples:
-                        oracle += complex(arc_contraction(_chain(f, word.word, r), f, q).values)
+                        oracle += complex(arc_contraction(_chain(f, word, r), f, q).values)
             assert rel_close(moment_trace_formula(f, m), oracle, 1e-12)
 
 
@@ -481,6 +463,14 @@ def test_law_oracles_refuse_a_float_power_past_the_float_range(oracle):
     # 1e200**2 overflows a Python float power
     with pytest.raises(ValueError, match=r"^outside the float range: 1e\+200\*\*2$"):
         oracle(1e200, 4)
+
+
+@pytest.mark.parametrize("oracle", [free_poisson_moment, semicircular_moment])
+def test_law_oracles_refuse_a_sum_past_the_float_range(oracle):
+    # 1.2e154**2 fits a float, twice that does not
+    line = rf"^outside the float range: {oracle.__name__}\(1\.2e\+154, 4\) = inf$"
+    with pytest.raises(ValueError, match=line):
+        oracle(1.2e154, 4)
 
 
 def test_free_poisson_moments_match_riordan_totals_at_unit_rate():
@@ -538,14 +528,14 @@ def test_star_import_exports_no_submodules():
     assert freechaos.__all__ == sorted(
         """
         ChaosElement ConvergenceSeries GridKernel GridMismatchError GroundSetMismatchError
-        IdentityMismatchError IdentityReport IndexSets IndicatorReport KernelFamily MirrorSymmetryError
-        MomentReport MultisetWord RiordanTable SetPartition SizeLimitError StepRecord TamednessReport
-        TransferReport TransferRow add adjoint arc_contraction bell block_partition catalan
+        IdentityMismatchError IdentityReport IndicatorReport KernelFamily MirrorSymmetryError
+        MomentReport RiordanTable SetPartition SizeLimitError StepRecord TamednessReport
+        TransferReport TransferRow add adjoint arc_contraction bell catalan
         convergence_experiment diagram_integral element_inner enumerate_nc enumerate_partitions
         fourth_moment_identity fourth_moment_statistic free_poisson_moment hyperdiagonal_family
-        identity_terms index_sets indicator_characterization indicator_family inner intersection_split
+        identity_terms indicator_characterization indicator_family inner
         is_mirror_symmetric is_noncrossing kernel_from_dict kernel_to_dict load_kernel meet_is_zero
-        moment_diagram moment_product moment_report moment_trace_formula multiset_words nc0_classes
+        moment_diagram moment_product moment_report moment_trace_formula nc0_classes
         norm2 perturbed_indicator_family poisson_multiply power_expansion riordan riordan_number
         save_kernel scale semicircular_moment star_contraction subtract tamedness_report trace
         transfer_experiment wigner_multiply

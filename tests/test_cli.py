@@ -69,19 +69,19 @@ def test_nc_size_guard(capsys):
 
 
 def test_nc_count_refuses_fifteen(capsys, monkeypatch):
-    def boom(n):
+    def boom(n, q, singletons):
         raise AssertionError(f"enumerated [{n}] past the guard")
 
-    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    monkeypatch.setattr(partitions, "_staircase_blocks", boom)
     code, out, err = run(capsys, "nc", "--n", "15")
     assert code == 1 and out == "" and err.startswith("error:size-limit:")
 
 
 def test_nc_counts_build_no_partitions(capsys, monkeypatch):
-    def boom(n):
+    def boom(n, *args, **kwargs):
         raise AssertionError(f"built partitions of [{n}] only to count them")
 
-    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    monkeypatch.setattr(partitions, "_staircase_blocks", boom)
     monkeypatch.setattr(partitions, "iter_partition_blocks", boom)
     counts = []
     for n in ("9", "14"):
@@ -388,6 +388,51 @@ FROZEN_JSON = {
         '}\n'
     ),
 }
+# Parent-commit stdout of two listings, taken before both non-crossing
+# families came from one staircase generator. They pin the listing order; the
+# literals are written out in the CLI's JSON layout, which the entries above
+# pin byte for byte.
+FROZEN_JSON[("nc", "--n", "5", "--list")] = json.dumps(
+    {
+        "n": 5,
+        "noncrossing": 42,
+        "total": 52,
+        "partitions": [
+            [[1], [2], [3], [4], [5]], [[1], [2], [3], [4, 5]], [[1], [2], [3, 5], [4]],
+            [[1], [2, 5], [3], [4]], [[1, 5], [2], [3], [4]], [[1], [2], [3, 4], [5]],
+            [[1], [2], [3, 4, 5]], [[1], [2, 5], [3, 4]], [[1, 5], [2], [3, 4]],
+            [[1], [2, 4], [3], [5]], [[1], [2, 4, 5], [3]], [[1, 5], [2, 4], [3]],
+            [[1, 4], [2], [3], [5]], [[1, 4, 5], [2], [3]], [[1], [2, 3], [4], [5]],
+            [[1], [2, 3], [4, 5]], [[1], [2, 3, 5], [4]], [[1, 5], [2, 3], [4]],
+            [[1], [2, 3, 4], [5]], [[1], [2, 3, 4, 5]], [[1, 5], [2, 3, 4]],
+            [[1, 4], [2, 3], [5]], [[1, 4, 5], [2, 3]], [[1, 3], [2], [4], [5]],
+            [[1, 3], [2], [4, 5]], [[1, 3, 5], [2], [4]], [[1, 3, 4], [2], [5]],
+            [[1, 3, 4, 5], [2]], [[1, 2], [3], [4], [5]], [[1, 2], [3], [4, 5]],
+            [[1, 2], [3, 5], [4]], [[1, 2, 5], [3], [4]], [[1, 2], [3, 4], [5]],
+            [[1, 2], [3, 4, 5]], [[1, 2, 5], [3, 4]], [[1, 2, 4], [3], [5]],
+            [[1, 2, 4, 5], [3]], [[1, 2, 3], [4], [5]], [[1, 2, 3], [4, 5]],
+            [[1, 2, 3, 5], [4]], [[1, 2, 3, 4], [5]], [[1, 2, 3, 4, 5]],
+        ],
+    },
+    indent=2,
+    sort_keys=True,
+) + "\n"
+FROZEN_JSON[("nc", "--classes", "--m", "3", "--q", "2", "--list")] = json.dumps(
+    {
+        "m": 3,
+        "q": 2,
+        "pairings": 1,
+        "blocks_gt2": 0,
+        "blocks_ge2": 1,
+        "classes": {
+            "pairings": [[[1, 6], [2, 3], [4, 5]]],
+            "blocks_gt2": [],
+            "blocks_ge2": [[[1, 6], [2, 3], [4, 5]]],
+        },
+    },
+    indent=2,
+    sort_keys=True,
+) + "\n"
 
 
 @pytest.mark.parametrize("argv", list(FROZEN_JSON), ids=" ".join)
@@ -601,6 +646,23 @@ def test_float_power_overflow_is_one_domain_line(capsys):
         warnings.simplefilter("error")
         result = run(capsys, "converge", "--family", "perturbed-indicator", "--rho", "1e200", "--eps0", "1e-300")
     assert result == (1, "", "error:domain: outside the float range: 1e+200**2\n")
+
+
+# on one cell 1.2e154 wide, lambda and the third moment fit a float but the
+# fourth moment, 2*lambda**2 + lambda, does not
+PAST_THE_FLOAT_RANGE = [
+    ("moments", "--m", "4", "--method", method, "--format", fmt)
+    for method in ("product", "diagram", "trace")
+    for fmt in ("json", "csv")
+] + [("transfer", "--M", "4", "--format", "csv"), ("identity",)]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_FLOAT_RANGE, ids=" ".join)
+def test_a_moment_past_the_float_range_is_one_domain_line(capsys, argv):
+    # these used to exit 0 and print inf and nan, or Infinity and NaN as JSON
+    code, out, err = run(capsys, *argv, "--bins", "1", "--cell-width", "1.2e154")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:domain: outside the float range: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bins", ["0", "-2"])

@@ -15,7 +15,6 @@ from freechaos import (
     add,
     adjoint,
     arc_contraction,
-    block_partition,
     diagram_integral,
     enumerate_nc,
     enumerate_partitions,
@@ -36,6 +35,7 @@ from freechaos import kernels
 from freechaos.theorems import hyperdiagonal_family, perturbed_indicator_family
 
 from conftest import naive_arc, naive_glued, naive_star, random_kernel, rel_close
+from proof_structure import block_partition
 
 
 def doubled_pair_indicator():

@@ -11,11 +11,9 @@ from freechaos import (
     SetPartition,
     SizeLimitError,
     bell,
-    block_partition,
     catalan,
     enumerate_nc,
     enumerate_partitions,
-    intersection_split,
     is_noncrossing,
     meet_is_zero,
     nc0_classes,
@@ -23,6 +21,8 @@ from freechaos import (
     riordan_number,
 )
 from freechaos import partitions
+
+from proof_structure import block_partition, intersection_split
 
 
 def test_enumerate_partitions_small_counts():
@@ -102,6 +102,17 @@ def test_enumerate_nc_matches_filter_oracle(n):
     assert direct == filtered
 
 
+def test_enumerate_nc_order_is_frozen():
+    # the staircase order: element e opens a block first, then joins the
+    # addable blocks by descending maximum
+    assert [p.to_lists() for p in enumerate_nc(4)] == [
+        [[1], [2], [3], [4]], [[1], [2], [3, 4]], [[1], [2, 4], [3]], [[1, 4], [2], [3]],
+        [[1], [2, 3], [4]], [[1], [2, 3, 4]], [[1, 4], [2, 3]], [[1, 3], [2], [4]],
+        [[1, 3, 4], [2]], [[1, 2], [3], [4]], [[1, 2], [3, 4]], [[1, 2, 4], [3]],
+        [[1, 2, 3], [4]], [[1, 2, 3, 4]],
+    ]
+
+
 def test_enumerate_nc_catalan_counts():
     for n in range(1, 11):
         assert len(enumerate_nc(n)) == catalan(n)
@@ -115,10 +126,10 @@ def test_enumerate_nc_guards():
 
 
 def test_enumerate_nc_refuses_fifteen_before_allocating(monkeypatch):
-    def boom(n):
+    def boom(n, q, singletons):
         raise AssertionError(f"enumerated [{n}] past the guard")
 
-    monkeypatch.setattr(partitions, "_nc_blocks", boom)
+    monkeypatch.setattr(partitions, "_staircase_blocks", boom)
     with pytest.raises(SizeLimitError):
         enumerate_nc(15)
 

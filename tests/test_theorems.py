@@ -1,6 +1,7 @@
 """Fourth-moment statistic, norm decomposition, indicator test, experiments."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ import pytest
 from freechaos import (
     GridKernel,
     IdentityMismatchError,
+    IdentityReport,
+    IndicatorReport,
     MirrorSymmetryError,
+    MomentReport,
+    TransferReport,
+    TransferRow,
     convergence_experiment,
     fourth_moment_identity,
     fourth_moment_statistic,
@@ -22,6 +28,7 @@ from freechaos import (
     perturbed_indicator_family,
     transfer_experiment,
 )
+from freechaos import theorems
 
 from conftest import rel_close
 
@@ -99,6 +106,31 @@ def test_identity_report_dict_shape():
     d = fourth_moment_identity(GridKernel.indicator(2)).to_dict()
     assert set(d) == {"q", "lambda", "lhs", "rhs", "delta", "terms"}
     assert d["q"] == 1 and d["lambda"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "report, key",
+    [
+        (MomentReport(1, 4, 1.0, "diagram", complex(math.inf, 0.0), 3.0), "value_re = inf"),
+        (IdentityReport(1, 1.0, 3.0, 3.0, {"star_1_minus_f": math.nan}), "star_1_minus_f = nan"),
+        (IndicatorReport(True, 1.0, (0.0, math.inf), (0.0, 1.0), 0.0, True), "moments = inf"),
+        (TransferReport(1, 1.0, (TransferRow(4, math.inf, 3.0, 3.0, 3.0),)), "poisson = inf"),
+    ],
+    ids=["complex", "dict", "tuple", "nested"],
+)
+def test_reports_refuse_non_finite_numbers(report, key):
+    with pytest.raises(ValueError, match=f"^outside the float range: {key}$"):
+        report.to_dict()
+
+
+def test_identity_refuses_a_non_finite_side(monkeypatch):
+    # the fourth moment of one cell 1.2e154 wide overflows
+    with pytest.raises(ValueError, match="^outside the float range: lhs = inf$"):
+        fourth_moment_identity(GridKernel.indicator(1, 1.2e154))
+    # a NaN side would pass a tolerance test written as `abs(delta) > tol`
+    monkeypatch.setattr(theorems, "identity_terms", lambda f: {"arc_1": math.nan})
+    with pytest.raises(ValueError, match="^outside the float range: rhs = nan$"):
+        fourth_moment_identity(GridKernel.indicator(2))
 
 
 def test_indicator_report_dict_shape():
