@@ -10,7 +10,9 @@ non-crossing classes, and a closed trace formula over contraction chains.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Literal
 
 import numpy as np
@@ -33,6 +35,7 @@ from .partitions import SetPartition, catalan, nc0_classes, riordan
 from .records import Record, require_finite
 
 Measure = Literal["poisson", "wigner"]
+Blocks = tuple[tuple[int, ...], ...]  # a partition's canonical blocks
 
 
 def _check_measure(measure: str) -> None:
@@ -131,6 +134,15 @@ def wigner_multiply(a: ChaosElement, b: ChaosElement) -> ChaosElement:
     return _multiply(a, b, with_star=False)
 
 
+def _finite(engine: str, m: int, value: complex) -> complex:
+    """value itself, refused with a ValueError that names the engine and m when
+    its real or imaginary part is not finite."""
+    key = f"{engine}(m={m})"
+    require_finite(key, value.real)
+    require_finite(key, value.imag)
+    return value
+
+
 def trace(a: ChaosElement) -> complex:
     """The state applied to an element: its order-0 coefficient."""
     t = a.terms.get(0)
@@ -152,25 +164,26 @@ def moment_product(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     mul = poisson_multiply if measure == "poisson" else wigner_multiply
     x = ChaosElement.integral(f)
     if m == 1:
-        return trace(x)
+        return _finite("moment_product", m, trace(x))
     lo = x
     for _ in range(m // 2 - 1):
         lo = mul(lo, x)
     # the inner product reads only the orders lo has, so hi stops at its top
     hi = _multiply(lo, x, measure == "poisson", max(lo.terms, default=0)) if m % 2 else lo
-    return element_inner(hi, lo)
+    return _finite("moment_product", m, element_inner(hi, lo))
 
 
-def _components(
-    blocks: tuple[tuple[int, ...], ...], q: int
-) -> list[tuple[tuple[int, ...], ...]]:
+def _components(blocks: Blocks, q: int) -> list[Blocks]:
     """Split a class into its connected components: blocks that share a kernel
     copy (q consecutive elements) belong to one component. A connected class
     comes back whole. Otherwise each component is relabelled onto its own
     copies 1..k, in their order, each element keeping its offset inside its
     copy, and comes out as canonical blocks of [kq]. A component holds every
     element of its copies, so the new label of an element is its rank among
-    the component's elements."""
+    the component's elements. At q = 1 every block is a component of its own,
+    and at q >= 2 none is."""
+    if q == 1:
+        return [(tuple(range(1, len(b) + 1)),) for b in blocks]
     groups: list[tuple[int, list[tuple[int, ...]]]] = []  # (bitmask of copies, blocks)
     for b in blocks:
         mask = 0
@@ -190,13 +203,36 @@ def _components(
         return [blocks]
     out = []
     for _, members in groups:
-        if len(members) == 1:  # a lone block, which happens only at q = 1
-            out.append((tuple(range(1, len(members[0]) + 1)),))
-            continue
         members.sort()
         rank = {p: r for r, p in enumerate(sorted(itertools.chain(*members)), 1)}
         out.append(tuple([tuple([rank[p] for p in b]) for b in members]))
     return out
+
+
+@lru_cache(maxsize=None)
+def _diagram_terms(
+    m: int, q: int
+) -> tuple[tuple[Blocks, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The classes of moment_diagram as products of component integrals.
+
+    Returns the distinct connected components of the classes of (m, q), as
+    canonical block tuples, then one tuple of component indices per class:
+    for the Poisson measure over all blocks >= 2, for the Wigner measure over
+    the pairings, each in nc0_classes order. The pairings are split first, so
+    their components are a prefix of the distinct ones. Equal index tuples are
+    one object.
+    """
+    index: dict[Blocks, int] = {}  # component -> its index
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def split(sigma: SetPartition) -> tuple[int, ...]:
+        term = tuple([index.setdefault(blocks, len(index)) for blocks in _components(sigma.blocks, q)])
+        return shared.setdefault(term, term)
+
+    pairings, _, ge2 = nc0_classes(m, q)
+    wigner = tuple(map(split, pairings))
+    poisson = tuple(map(split, ge2))
+    return tuple(index), poisson, wigner
 
 
 def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> complex:
@@ -205,9 +241,13 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     A class's glued integral is the product of those of its connected
     components (blocks that share a kernel copy), and each component,
     relabelled onto its own copies, is a non-crossing, no-singleton, meet-zero
-    class of [kq] in turn. So each distinct component is integrated once per
-    call: at q = 1 every block is a component, and the sum needs one einsum
-    per block size. A connected class is integrated whole.
+    class of [kq] in turn. The split of every class is computed once per
+    shape (m, q) and kept as a table of the distinct components and one tuple
+    of component indices per class (_diagram_terms; about 1.8 MiB at
+    (16, 1), where the classes took about 66 MiB). It is the only cache of
+    the classes: nc0_classes does not keep them. Each call integrates each
+    distinct component its measure uses once, so at q = 1 a moment needs one
+    einsum per block size, and then sums one product per class.
     """
     _check_measure(measure)
     _require_mirror(f)
@@ -216,29 +256,24 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     q = f.arity
     if m * q > MAX_NC_GROUND:
         raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * q}")
-    pairings, _, ge2 = nc0_classes(m, q)
-    classes = ge2 if measure == "poisson" else pairings
+    components, poisson, wigner = _diagram_terms(m, q)
+    if measure == "poisson":
+        terms, used = poisson, len(components)
+    else:  # the pairings' components come first
+        terms, used = wigner, 1 + max(map(max, wigner), default=-1)
     # Each einsum below allocates and frees iterator buffers of up to 128 KiB per
     # operand. Until a process frees its first large block, glibc gives such
     # memory back to the system at once, so every call faults it in again (2x
     # the time on few bins); freeing one untouched 2 MiB block ends that.
     np.empty(1 << 21, np.uint8)
-    values: dict[tuple[tuple[int, ...], ...], complex] = {}  # component -> integral
+    values = []
+    for blocks in components[:used]:
+        n = sum(map(len, blocks))
+        values.append(diagram_integral(f, n // q, SetPartition(n, blocks)))
     total = 0j
-    for sigma in classes:
-        parts = _components(sigma.blocks, q)
-        if len(parts) == 1:
-            total += diagram_integral(f, m, sigma)
-            continue
-        term = 1 + 0j
-        for blocks in parts:
-            value = values.get(blocks)
-            if value is None:
-                n = sum(map(len, blocks))
-                value = values[blocks] = diagram_integral(f, n // q, SetPartition(n, blocks))
-            term *= value
-        total += term
-    return total
+    for term in terms:
+        total += math.prod([values[i] for i in term])
+    return _finite("moment_diagram", m, total)
 
 
 def _admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -311,7 +346,7 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     if q < 1:
         raise ValueError(f"need arity >= 1, got {q}")
     if m == 2:
-        return complex(arc_contraction(f, f, q).values)
+        return _finite("moment_trace_formula", m, complex(arc_contraction(f, f, q).values))
     fv, width = f.values, f.cell_width
     closing: dict[int, np.ndarray] = {}  # a -> C_a with reversed axes, flat, times cell_width^a
 
@@ -336,7 +371,7 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
                     total += walk(core(x, fv, k, width), steps - 1)
         return total
 
-    return walk(fv, m - 2)
+    return _finite("moment_trace_formula", m, walk(fv, m - 2))
 
 
 def _float_power(base: float, exp: int) -> float:

@@ -190,7 +190,6 @@ def meet_is_zero(sigma: SetPartition, pi: SetPartition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def nc0_classes(
     m: int, q: int
 ) -> tuple[tuple[SetPartition, ...], tuple[SetPartition, ...], tuple[SetPartition, ...]]:

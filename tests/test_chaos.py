@@ -260,9 +260,9 @@ def test_moment_diagram_matches_the_per_class_sum():
 
 def test_components_are_classes_of_their_own_copies():
     for q in range(1, 5):
+        classes = {k: set(chaos.nc0_classes(k, q)[2]) for k in range(1, 12 // q + 1)}
         for m in range(1, 12 // q + 1):
-            _, _, ge2 = chaos.nc0_classes(m, q)
-            for sigma in ge2:
+            for sigma in classes[m]:
                 parts = chaos._components(sigma.blocks, q)
                 if len(parts) == 1:
                     assert parts == [sigma.blocks]
@@ -270,7 +270,7 @@ def test_components_are_classes_of_their_own_copies():
                 assert sum(len(b) for blocks in parts for b in blocks) == m * q
                 for blocks in parts:
                     k = sum(map(len, blocks)) // q
-                    assert SetPartition(k * q, blocks) in chaos.nc0_classes(k, q)[2]
+                    assert SetPartition(k * q, blocks) in classes[k]
 
 
 def test_component_split_example():
@@ -278,6 +278,25 @@ def test_component_split_example():
     # inner ones copies 2 and 3
     assert chaos._components(((1, 8), (2, 7), (3, 6), (4, 5)), 2) == [((1, 4), (2, 3))] * 2
     assert chaos._components(((1, 4, 5), (2, 3)), 1) == [((1, 2, 3),), ((1, 2),)]
+
+
+def test_diagram_terms_cover_every_class_once():
+    for q in range(1, 5):
+        for m in range(1, 12 // q + 1):
+            pairings, _, ge2 = chaos.nc0_classes(m, q)
+            components, poisson, wigner = chaos._diagram_terms(m, q)
+            assert (len(poisson), len(wigner)) == (len(ge2), len(pairings))
+            assert len(set(components)) == len(components)
+            # each class is the disjoint union of its components, relabelled
+            for sigma, term in zip(ge2, poisson):
+                assert [components[i] for i in term] == chaos._components(sigma.blocks, q)
+            assert wigner == tuple(poisson[ge2.index(sigma)] for sigma in pairings)
+            # a Wigner moment integrates a prefix of the components
+            used = {i for term in wigner for i in term}
+            assert used == set(range(len(used)))
+            if q == 1:
+                sizes = {len(b) for sigma in ge2 for b in sigma.blocks}
+                assert sorted(components) == sorted((tuple(range(1, k + 1)),) for k in sizes)
 
 
 def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
@@ -471,6 +490,14 @@ def test_law_oracles_refuse_a_sum_past_the_float_range(oracle):
     line = rf"^outside the float range: {oracle.__name__}\(1\.2e\+154, 4\) = inf$"
     with pytest.raises(ValueError, match=line):
         oracle(1.2e154, 4)
+
+
+@pytest.mark.parametrize("engine", [moment_diagram, moment_product, moment_trace_formula])
+def test_engines_refuse_a_moment_past_the_float_range(engine):
+    # on one cell 1.2e154 wide the fourth moment, 2*lambda**2 + lambda, is past the float range
+    line = rf"^outside the float range: {engine.__name__}\(m=4\) = inf$"
+    with pytest.raises(ValueError, match=line):
+        engine(GridKernel.indicator(1, 1.2e154), 4)
 
 
 def test_free_poisson_moments_match_riordan_totals_at_unit_rate():

@@ -124,12 +124,16 @@ def test_reports_refuse_non_finite_numbers(report, key):
 
 
 def test_identity_refuses_a_non_finite_side(monkeypatch):
-    # the fourth moment of one cell 1.2e154 wide overflows
-    with pytest.raises(ValueError, match="^outside the float range: lhs = inf$"):
+    # the fourth moment of one cell 1.2e154 wide overflows, which the engine refuses
+    with pytest.raises(ValueError, match=r"^outside the float range: moment_product\(m=4\) = inf$"):
         fourth_moment_identity(GridKernel.indicator(1, 1.2e154))
     # a NaN side would pass a tolerance test written as `abs(delta) > tol`
     monkeypatch.setattr(theorems, "identity_terms", lambda f: {"arc_1": math.nan})
     with pytest.raises(ValueError, match="^outside the float range: rhs = nan$"):
+        fourth_moment_identity(GridKernel.indicator(2))
+    # finite moments whose combination m4 - 2*m3 + lambda is not
+    monkeypatch.setattr(theorems, "moment_product", lambda f, m: complex(1.5e308 if m == 4 else -1e308))
+    with pytest.raises(ValueError, match="^outside the float range: lhs = inf$"):
         fourth_moment_identity(GridKernel.indicator(2))
 
 
