@@ -31,11 +31,12 @@ from .kernels import (
     norm2,
     star_contraction,
 )
-from .partitions import SetPartition, catalan, nc0_classes, riordan
+from .partitions import Blocks, SetPartition, catalan, nc0_classes, riordan
 from .records import Record, require_finite
 
 Measure = Literal["poisson", "wigner"]
-Blocks = tuple[tuple[int, ...], ...]  # a partition's canonical blocks
+# The engines that answer each measure, in the order `moments --method all` runs them.
+ENGINES: dict[str, tuple[str, ...]] = {"poisson": ("product", "diagram", "trace"), "wigner": ("product", "diagram")}
 
 
 def _check_measure(measure: str) -> None:
@@ -340,11 +341,13 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     is still closed on its own.
     """
     _require_mirror(f)
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     q = f.arity
     if q < 1:
         raise ValueError(f"need arity >= 1, got {q}")
+    if m == 1:
+        return 0j  # a chaos integral of order q >= 1 is centred
     if m == 2:
         return _finite("moment_trace_formula", m, complex(arc_contraction(f, f, q).values))
     fv, width = f.values, f.cell_width
@@ -424,9 +427,10 @@ class MomentReport(Record):
 
 def moment_report(f: GridKernel, m: int, method: str, measure: Measure = "poisson") -> MomentReport:
     """Compute one moment by the named engine and pair it with the matching oracle."""
-    if method not in ("product", "diagram", "trace"):
+    if method not in ENGINES["poisson"]:
         raise ValueError(f"method must be product, diagram, or trace, got {method!r}")
-    if method == "trace" and measure != "poisson":
+    _check_measure(measure)
+    if method not in ENGINES[measure]:
         raise ValueError("the trace engine covers the poisson product rule only")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")

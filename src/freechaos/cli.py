@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .chaos import moment_report
+from .chaos import ENGINES, moment_report
 from .errors import (
     MAX_PARTITION_GROUND,
     GridMismatchError,
@@ -178,7 +178,7 @@ def cmd_riordan(cfg: argparse.Namespace) -> str:
 
 def cmd_moments(cfg: argparse.Namespace) -> str:
     f = _resolve_kernel(cfg)
-    methods = ("product", "diagram", "trace") if cfg.method == "all" else (cfg.method,)
+    methods = ENGINES[cfg.measure] if cfg.method == "all" else (cfg.method,)
     reports = [moment_report(f, cfg.m, method, cfg.measure).to_dict() for method in methods]
     if cfg.fmt == "csv":
         return rows_to_csv(reports)

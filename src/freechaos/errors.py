@@ -11,11 +11,13 @@ class SizeLimitError(ValueError):
 # Largest dense kernel table, in entries (16 MB of complex128).
 MAX_TABLE_ENTRIES = 10**6
 # Exhaustive set-partition scans (enumerate_partitions, Bell counts in `nc`):
-# Bell(12) ~ 4.2e6 already stretches a scan.
+# enumerate_partitions(12) lists Bell(12) = 4,213,597 partitions in about 17 s
+# and 1.1 GiB peak RSS on a 2-vCPU VM; the count grows ~5x per element.
 MAX_PARTITION_GROUND = 12
-# The tamedness scan costs 47-64 us per meet-zero partition. Its worst shape
-# with m*q <= 10 is (m, q) = (10, 1): 115,975 partitions in about 6 s. At
-# m*q = 11 the count reaches 678,570 (44 s), and (6, 2) has 1,515,903.
+# The tamedness scan costs about 35 us per meet-zero partition for one kernel
+# on 3 bins. Its worst shape with m*q <= 10 is (m, q) = (10, 1): 115,975
+# partitions in about 4 s and 35 MiB peak RSS on a 2-vCPU VM. At m*q = 11 the
+# count reaches 678,570, and (6, 2) has 1,515,903.
 MAX_TAMED_GROUND = 10
 # The pruned class generator keeps R_16 = 227,475 partitions at (m, q) = (16, 1)
 # in about 3 s and 100 MiB.

@@ -23,7 +23,7 @@ from .errors import (
     MirrorSymmetryError,
     SizeLimitError,
 )
-from .partitions import SetPartition, iter_partition_blocks
+from .partitions import Blocks, SetPartition, _staircase_blocks
 
 MIRROR_TOL = 1e-12
 
@@ -275,12 +275,15 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
         raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_TAMED_GROUND}, got {m * q}")
     peaks = [-math.inf] * len(fs)
     worst: list[SetPartition | None] = [None] * len(fs)
-    for blocks in iter_partition_blocks(m, q):
+
+    def scan(blocks: Blocks) -> None:
         sigma = SetPartition(m * q, blocks)
         for i, f in enumerate(fs):
             val = diagram_integral(f, m, sigma, absolute=True).real
             if val > peaks[i]:
                 peaks[i], worst[i] = val, sigma
+
+    _staircase_blocks(m * q, q, singletons=True, crossing=True, sink=scan)
     return TamednessReport(m, q, threshold, tuple(peaks), tuple(worst))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable
 
 from .errors import (
     MAX_NC_ENUM_GROUND,
@@ -19,6 +19,8 @@ from .errors import (
     GroundSetMismatchError,
     SizeLimitError,
 )
+
+Blocks = tuple[tuple[int, ...], ...]  # a partition's canonical blocks
 
 
 @dataclass(frozen=True)
@@ -66,45 +68,6 @@ class SetPartition:
         return [list(b) for b in self.blocks]
 
 
-def iter_partition_blocks(m: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Stream the partitions of [mq] that meet the block partition (m runs of
-    q consecutive elements) in zero, as canonical block tuples.
-
-    Elements are inserted one at a time, each opening a singleton or joining
-    an existing block; the insertion order keeps blocks sorted by minimum.
-    Element e never joins a block whose maximum lies in e's own run: runs are
-    consecutive, so this is exactly the zero meet, and no partition is built
-    only to be dropped. At q = 1 the cut never fires and every partition of
-    [m] comes out.
-    """
-    if m < 1 or q < 1:
-        raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
-    n = m * q
-
-    def rec(e: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if e > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        blocks.append([e])
-        yield from rec(e + 1, blocks)
-        blocks.pop()
-        run = (e - 1) // q
-        for b in blocks:
-            if (b[-1] - 1) // q != run:
-                b.append(e)
-                yield from rec(e + 1, blocks)
-                b.pop()
-
-    yield from rec(2, [[1]])
-
-
-def enumerate_partitions(n: int) -> list[SetPartition]:
-    """All partitions of [n]; exhaustive, so n is capped."""
-    if not 1 <= n <= MAX_PARTITION_GROUND:
-        raise SizeLimitError(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
-    return [SetPartition(n, blocks) for blocks in iter_partition_blocks(n, 1)]
-
-
 def _blocks_interleave(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     # a and b cross iff their merged order alternates source at least 3 times,
     # i.e. some p1 < q1 < p2 < q2 with p's in one block and q's in the other.
@@ -122,27 +85,28 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
-def _staircase_blocks(n: int, q: int, singletons: bool) -> list[tuple[tuple[int, ...], ...]]:
-    """Non-crossing partitions of [n] whose meet with the partition into runs
-    of q consecutive elements is zero, as canonical block tuples, grown by
-    depth-first staircase insertion.
+def _staircase_blocks(n: int, q: int, singletons: bool, crossing: bool, sink: Callable[[Blocks], object]) -> None:
+    """Hand sink each partition of [n] that meets the partition into runs of q
+    consecutive elements in zero, as canonical block tuples, grown by depth-first
+    staircase insertion: only the non-crossing ones unless crossing is on.
 
-    Each state carries its staircase: the blocks that can still accept the
-    next element without creating a crossing, ordered by descending maximum.
-    Element e opens a block or joins a staircase block s, which keeps s and
-    everything below it addable and buries the blocks above it. Element e
-    never joins a block whose maximum lies in e's own run (runs are
+    Each state carries its staircase: the blocks that can accept the next
+    element, by descending maximum. Element e opens a block or joins a
+    staircase block s. A non-crossing join keeps s and everything below it
+    addable and buries the blocks above it; a crossing join buries nothing.
+    Element e never joins a block whose maximum lies in e's own run (runs are
     consecutive, so this is exactly the zero meet); at q = 1 that cut never
-    fires. Without singletons, a branch is cut as soon as no completion can
-    be kept: a join never buries a singleton, and the last element never
-    opens a block.
+    fires. Without singletons, a branch is cut as soon as no completion can be
+    kept: a join never buries a singleton, and the last element never opens a
+    block. These cuts hold on the non-crossing staircase only.
     """
-    kept: list[tuple[tuple[int, ...], ...]] = []
+    if crossing and not singletons:
+        raise ValueError("the singleton cuts hold on the non-crossing staircase only")
 
-    def grow(e: int, blocks: tuple[tuple[int, ...], ...], stair: tuple[int, ...]) -> None:
+    def grow(e: int, blocks: Blocks, stair: tuple[int, ...]) -> None:
         if e > n:
             if singletons or all(len(blocks[bi]) > 1 for bi in stair):
-                kept.append(blocks)
+                sink(blocks)
             return
         if singletons or e < n:
             grow(e + 1, blocks + ((e,),), (len(blocks),) + stair)
@@ -154,9 +118,18 @@ def _staircase_blocks(n: int, q: int, singletons: bool) -> list[tuple[tuple[int,
                 continue
             nb = list(blocks)
             nb[bi] = nb[bi] + (e,)
-            grow(e + 1, tuple(nb), (bi,) + stair[si + 1:])
+            grow(e + 1, tuple(nb), (bi,) + (stair[:si] if crossing else ()) + stair[si + 1:])
 
     grow(2, ((1,),), (0,))
+
+
+def enumerate_partitions(n: int) -> list[SetPartition]:
+    """All partitions of [n], from the staircase generator with crossings on;
+    exhaustive, so n is capped."""
+    if not 1 <= n <= MAX_PARTITION_GROUND:
+        raise SizeLimitError(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
+    kept: list[SetPartition] = []
+    _staircase_blocks(n, 1, singletons=True, crossing=True, sink=lambda b: kept.append(SetPartition(n, b)))
     return kept
 
 
@@ -168,7 +141,9 @@ def _require_nc_enum_ground(n: int) -> None:
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n], Catalan(n) of them."""
     _require_nc_enum_ground(n)
-    return [SetPartition(n, blocks) for blocks in _staircase_blocks(n, 1, singletons=True)]
+    kept: list[SetPartition] = []
+    _staircase_blocks(n, 1, singletons=True, crossing=False, sink=lambda b: kept.append(SetPartition(n, b)))
+    return kept
 
 
 def meet_is_zero(sigma: SetPartition, pi: SetPartition) -> bool:
@@ -198,17 +173,28 @@ def nc0_classes(
     size: (all blocks = 2, all blocks > 2, all blocks >= 2).
 
     They come from the staircase generator with its singleton cuts on, in
-    the order enumerate_nc lists them.
+    the order enumerate_nc lists them, and each is filed by its largest and
+    smallest block as it comes.
     """
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     n = m * q
     if n > MAX_NC_GROUND:
         raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {n}")
-    kept = [SetPartition(n, blocks) for blocks in _staircase_blocks(n, q, singletons=False)]
-    pairings = tuple(p for p in kept if all(s == 2 for s in p.block_sizes()))
-    big = tuple(p for p in kept if all(s > 2 for s in p.block_sizes()))
-    return pairings, big, tuple(kept)
+    pairings: list[SetPartition] = []
+    big: list[SetPartition] = []
+    ge2: list[SetPartition] = []
+
+    def file(blocks: Blocks) -> None:
+        p = SetPartition(n, blocks)
+        ge2.append(p)
+        if max(map(len, blocks)) == 2:  # no block is a singleton, so every block has 2
+            pairings.append(p)
+        elif min(map(len, blocks)) > 2:
+            big.append(p)
+
+    _staircase_blocks(n, q, singletons=False, crossing=False, sink=file)
+    return tuple(pairings), tuple(big), tuple(ge2)
 
 
 @dataclass(frozen=True)

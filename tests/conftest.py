@@ -69,6 +69,27 @@ def naive_glued(f: GridKernel, m: int, sigma: SetPartition, absolute: bool = Fal
     return total * f.cell_width**nblocks
 
 
+def growth_string_partitions(n: int) -> set[SetPartition]:
+    """Every partition of [n], read off its restricted growth string: element
+    i goes to block a_i, where a_1 = 0 and a_i is at most one more than every
+    earlier letter. Blocks are numbered by their least element, so the blocks
+    come out canonical."""
+    out: set[SetPartition] = set()
+
+    def grow(word: list[int], top: int) -> None:
+        if len(word) == n:
+            blocks: list[list[int]] = [[] for _ in range(top + 1)]
+            for x, b in enumerate(word, 1):
+                blocks[b].append(x)
+            out.add(SetPartition(n, tuple(map(tuple, blocks))))
+            return
+        for b in range(top + 2):
+            grow(word + [b], max(top, b))
+
+    grow([0], 0)
+    return out
+
+
 def random_kernel(arity: int, bins: int, cell_width: float, seed: int, complex_values=False) -> GridKernel:
     """Seeded kernel with no symmetry imposed."""
     rng = np.random.default_rng(seed)

@@ -218,6 +218,14 @@ def test_engines_agree_on_complex_hermitian_kernels(q, bins, seed):
         assert rel_close(moment_product(f, m, "wigner"), moment_diagram(f, m, "wigner"), 1e-9)
 
 
+def test_engines_agree_at_the_first_moment():
+    # a chaos integral of order q >= 1 is centred
+    for q in (1, 2, 3):
+        for f in (sym_kernel(q, 3, 0.7, 50 + q), hermitian_kernel(q, 3, 0.7, 60 + q)):
+            assert moment_product(f, 1) == moment_diagram(f, 1) == moment_trace_formula(f, 1) == 0j
+            assert moment_product(f, 1, "wigner") == moment_diagram(f, 1, "wigner") == 0j
+
+
 def test_moment_product_reaches_past_the_full_power_table():
     # x^5 at q=2 on 4 bins would need a 4^10-entry table, past the 10^6 cap;
     # the half powers need 4^6

@@ -69,7 +69,7 @@ def test_nc_size_guard(capsys):
 
 
 def test_nc_count_refuses_fifteen(capsys, monkeypatch):
-    def boom(n, q, singletons):
+    def boom(n, q, singletons, crossing, sink):
         raise AssertionError(f"enumerated [{n}] past the guard")
 
     monkeypatch.setattr(partitions, "_staircase_blocks", boom)
@@ -82,7 +82,6 @@ def test_nc_counts_build_no_partitions(capsys, monkeypatch):
         raise AssertionError(f"built partitions of [{n}] only to count them")
 
     monkeypatch.setattr(partitions, "_staircase_blocks", boom)
-    monkeypatch.setattr(partitions, "iter_partition_blocks", boom)
     counts = []
     for n in ("9", "14"):
         code, out, err = run(capsys, "nc", "--n", n, "--format", "json")
@@ -134,6 +133,26 @@ def test_moments_all_methods_past_the_full_power_table(capsys):
     assert [r["method"] for r in payload] == ["product", "diagram", "trace"]
     values = [complex(r["value_re"], r["value_im"]) for r in payload]
     assert all(abs(v - values[0]) <= 1e-9 * max(1.0, abs(values[0])) for v in values)
+
+
+def test_moments_all_runs_every_engine_of_its_measure(capsys):
+    args = ("moments", "--method", "all", "--family", "random", "--q", "2", "--bins", "3", "--m", "4")
+    for measure, methods in [("poisson", ["product", "diagram", "trace"]), ("wigner", ["product", "diagram"])]:
+        code, out, err = run(capsys, *args, "--measure", measure)
+        payload = json.loads(out)
+        assert (code, err) == (0, "") and [r["method"] for r in payload] == methods, measure
+        values = [complex(r["value_re"], r["value_im"]) for r in payload]
+        assert all(abs(v - values[0]) <= 1e-9 * max(1.0, abs(values[0])) for v in values)
+
+
+def test_moments_first_moment_by_every_method(capsys):
+    args = ("moments", "--m", "1", "--family", "random", "--q", "2", "--bins", "3")
+    for method, measure, count in [("all", "poisson", 3), ("all", "wigner", 2), ("trace", "poisson", 1)]:
+        code, out, err = run(capsys, *args, "--method", method, "--measure", measure)
+        payload = json.loads(out)
+        reports = payload if isinstance(payload, list) else [payload]
+        assert (code, err, len(reports)) == (0, "", count), (method, measure)
+        assert all(r["value_re"] == r["value_im"] == r["oracle"] == 0.0 for r in reports)
 
 
 def test_moments_csv_format(capsys):

@@ -362,10 +362,10 @@ def test_tamedness_guard():
 
 
 def test_tamedness_guard_refuses_before_any_partition(monkeypatch):
-    def boom(m, q):
-        raise AssertionError(f"built partitions of [{m * q}] past the guard")
+    def boom(n, q, singletons, crossing, sink):
+        raise AssertionError(f"built partitions of [{n}] past the guard")
 
-    monkeypatch.setattr(kernels, "iter_partition_blocks", boom)
+    monkeypatch.setattr(kernels, "_staircase_blocks", boom)
     for q, m in [(1, 11), (2, 6)]:
         f = GridKernel.random_mirror_symmetric(q, 2, 1.0, 0)
         with pytest.raises(SizeLimitError, match=f"tamedness_report needs m\\*q <= 10, got {m * q}"):

@@ -22,6 +22,7 @@ from freechaos import (
 )
 from freechaos import partitions
 
+from conftest import growth_string_partitions
 from proof_structure import block_partition, intersection_split
 
 
@@ -64,16 +65,43 @@ def meet_zero_count(m: int, q: int) -> int:
     )
 
 
-def test_iter_partition_blocks_match_filtered_enumeration():
+def crossing_staircase(m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    grown: list[tuple[tuple[int, ...], ...]] = []
+    partitions._staircase_blocks(m * q, q, singletons=True, crossing=True, sink=grown.append)
+    return grown
+
+
+def test_crossing_staircase_matches_filtered_enumeration():
     for n in range(1, 11):
         everything = enumerate_partitions(n)
         for q in (q for q in range(1, n + 1) if n % q == 0):
             m = n // q
             pi = block_partition(m, q)
             filtered = [p.blocks for p in everything if meet_is_zero(p, pi)]
-            grown = list(partitions.iter_partition_blocks(m, q))
+            grown = crossing_staircase(m, q)
             assert grown == filtered, (m, q)
             assert len(grown) == meet_zero_count(m, q), (m, q)
+
+
+def test_enumerate_partitions_match_the_growth_string_oracle():
+    for n in range(1, 10):
+        parts = enumerate_partitions(n)
+        assert len(parts) == bell(n) and set(parts) == growth_string_partitions(n), n
+
+
+def test_crossing_staircase_matches_the_growth_string_oracle():
+    for n in range(1, 10):
+        everything = growth_string_partitions(n)
+        for q in (q for q in range(1, n + 1) if n % q == 0):
+            pi = block_partition(n // q, q)
+            grown = [SetPartition(n, blocks) for blocks in crossing_staircase(n // q, q)]
+            assert len(grown) == len(set(grown)), (n, q)
+            assert set(grown) == {p for p in everything if meet_is_zero(p, pi)}, (n, q)
+
+
+def test_crossing_staircase_refuses_the_singleton_cuts():
+    with pytest.raises(ValueError, match="non-crossing staircase only"):
+        partitions._staircase_blocks(4, 2, singletons=False, crossing=True, sink=[].append)
 
 
 def test_meet_zero_count_closed_form():
@@ -126,7 +154,7 @@ def test_enumerate_nc_guards():
 
 
 def test_enumerate_nc_refuses_fifteen_before_allocating(monkeypatch):
-    def boom(n, q, singletons):
+    def boom(n, q, singletons, crossing, sink):
         raise AssertionError(f"enumerated [{n}] past the guard")
 
     monkeypatch.setattr(partitions, "_staircase_blocks", boom)
