@@ -40,8 +40,8 @@ ENGINES: dict[str, tuple[str, ...]] = {"poisson": ("product", "diagram", "trace"
 
 
 def _check_measure(measure: str) -> None:
-    if measure not in ("poisson", "wigner"):
-        raise ValueError(f"measure must be 'poisson' or 'wigner', got {measure!r}")
+    if measure not in ENGINES:
+        raise ValueError(f"measure must be {' or '.join(map(repr, ENGINES))}, got {measure!r}")
 
 
 def _require_mirror(f: GridKernel) -> None:
@@ -427,11 +427,10 @@ class MomentReport(Record):
 
 def moment_report(f: GridKernel, m: int, method: str, measure: Measure = "poisson") -> MomentReport:
     """Compute one moment by the named engine and pair it with the matching oracle."""
-    if method not in ENGINES["poisson"]:
-        raise ValueError(f"method must be product, diagram, or trace, got {method!r}")
     _check_measure(measure)
     if method not in ENGINES[measure]:
-        raise ValueError("the trace engine covers the poisson product rule only")
+        engines = ", ".join(ENGINES[measure])
+        raise ValueError(f"method must be one of {engines} for the {measure} measure, got {method!r}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     lam = norm2(f)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .chaos import ENGINES, moment_report
 from .errors import (
-    MAX_PARTITION_GROUND,
     GridMismatchError,
     GroundSetMismatchError,
     IdentityMismatchError,
@@ -50,8 +49,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="freechaos", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default=None)
+    def common(p: _Parser, formats: tuple[str, str]) -> None:
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p_nc = sub.add_parser("nc", help="count or list non-crossing partitions and diagram classes")
@@ -60,22 +59,22 @@ def build_parser() -> _Parser:
     p_nc.add_argument("--q", type=int, help="kernel arity for class counting")
     p_nc.add_argument("--classes", action="store_true", help="count the diagram classes for (m, q)")
     p_nc.add_argument("--list", dest="listing", action="store_true", help="include the partitions themselves")
-    common(p_nc)
+    common(p_nc, ("text", "json"))
 
     p_r = sub.add_parser("riordan", help="no-singleton non-crossing partition counts by block count")
     p_r.add_argument("--m", type=int, required=True)
-    common(p_r)
+    common(p_r, ("text", "json"))
 
     p_mom = sub.add_parser("moments", help="moments of a chaos integral next to the law oracle")
     p_mom.add_argument("--m", type=int, required=True, help="moment order")
-    p_mom.add_argument("--method", choices=("product", "diagram", "trace", "all"), default="diagram")
-    p_mom.add_argument("--measure", choices=("poisson", "wigner"), default="poisson")
+    p_mom.add_argument("--method", choices=ENGINES["poisson"] + ("all",), default="diagram")
+    p_mom.add_argument("--measure", choices=tuple(ENGINES), default="poisson")
     _kernel_flags(p_mom)
-    common(p_mom)
+    common(p_mom, ("json", "csv"))
 
     p_id = sub.add_parser("identity", help="fourth-moment norm decomposition for one kernel")
     _kernel_flags(p_id)
-    common(p_id)
+    common(p_id, ("json", "csv"))
 
     p_conv = sub.add_parser("converge", help="statistic and moment gaps along a kernel family")
     p_conv.add_argument("--family", choices=("indicator", "perturbed-indicator", "hyperdiagonal"), required=True)
@@ -88,12 +87,12 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--rho", type=float, default=0.5)
     p_conv.add_argument("--seed", type=int, default=0)
     p_conv.add_argument("--tol", type=float, default=1e-2, help="final-gap threshold")
-    common(p_conv)
+    common(p_conv, ("json", "csv"))
 
     p_tr = sub.add_parser("transfer", help="moments under both product rules next to both laws")
     p_tr.add_argument("--M", dest="max_order", type=int, required=True)
     _kernel_flags(p_tr)
-    common(p_tr)
+    common(p_tr, ("json", "csv"))
 
     return parser
 
@@ -156,14 +155,12 @@ def cmd_nc(cfg: argparse.Namespace) -> str:
     # counts come in closed form; only --list builds partitions
     _require_nc_enum_ground(cfg.n)
     noncrossing = catalan(cfg.n)
-    total = bell(cfg.n) if cfg.n <= MAX_PARTITION_GROUND else None
+    total = bell(cfg.n)
     payload: dict = {"n": cfg.n, "noncrossing": noncrossing, "total": total}
     if cfg.listing:
         payload["partitions"] = [p.to_lists() for p in enumerate_nc(cfg.n)]
     if cfg.fmt == "json":
         return _json(payload)
-    if total is None:
-        return f"{noncrossing} non-crossing\n"
     return f"{noncrossing} non-crossing of {total} total\n"
 
 

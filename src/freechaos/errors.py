@@ -10,7 +10,7 @@ class SizeLimitError(ValueError):
 #
 # Largest dense kernel table, in entries (16 MB of complex128).
 MAX_TABLE_ENTRIES = 10**6
-# Exhaustive set-partition scans (enumerate_partitions, Bell counts in `nc`):
+# Exhaustive set-partition listing (enumerate_partitions):
 # enumerate_partitions(12) lists Bell(12) = 4,213,597 partitions in about 17 s
 # and 1.1 GiB peak RSS on a 2-vCPU VM; the count grows ~5x per element.
 MAX_PARTITION_GROUND = 12

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -126,11 +126,11 @@ def adjoint(f: GridKernel) -> GridKernel:
     return GridKernel._owned(f.arity, f.bins, f.cell_width, np.conj(rev, order="C"))
 
 
-def is_mirror_symmetric(f: GridKernel, tol: float = MIRROR_TOL) -> bool:
-    """Whether f equals its adjoint up to tol, relative to the peak value."""
+def is_mirror_symmetric(f: GridKernel) -> bool:
+    """Whether f equals its adjoint up to MIRROR_TOL, relative to the peak value."""
     gap = float(np.max(np.abs(f.values - adjoint(f).values)))
     scale_ = max(1.0, float(np.max(np.abs(f.values))))
-    return gap <= tol * scale_
+    return gap <= MIRROR_TOL * scale_
 
 
 def add(f: GridKernel, g: GridKernel) -> GridKernel:
@@ -216,12 +216,11 @@ def inner(f: GridKernel, g: GridKernel) -> complex:
     return complex(f.cell_width**f.arity * np.vdot(g.values, f.values))
 
 
-def diagram_integral(f: GridKernel, m: int, sigma: SetPartition, absolute: bool = False) -> complex:
+def diagram_integral(f: GridKernel, m: int, sigma: SetPartition) -> complex:
     """Integral of the m-fold tensor power of f with arguments glued along sigma.
 
     Position p of the tensor power (copy j holds positions (j-1)q+1 .. jq)
     takes the variable of the sigma-block containing p; one integral per block.
-    With absolute=True the integrand is |f| in every copy.
     """
     q = f.arity
     if q < 1 or m < 1:
@@ -229,10 +228,9 @@ def diagram_integral(f: GridKernel, m: int, sigma: SetPartition, absolute: bool 
     if sigma.n != m * q:
         raise GroundSetMismatchError(f"partition of [{sigma.n}] cannot glue {m} copies of arity {q}")
     label = sigma.block_index()
-    table = np.abs(f.values) if absolute else f.values
     args: list = []
     for j in range(m):
-        args.append(table)
+        args.append(f.values)
         args.append([label[p] for p in range(j * q + 1, j * q + q + 1)])
     args.append([])
     total = np.einsum(*args)
@@ -255,7 +253,7 @@ class TamednessReport:
     threshold: float
     peaks: tuple[float, ...]
     worst: tuple[SetPartition, ...]
-    scope: str = "bounded over the supplied kernels at this m only"
+    scope: ClassVar[str] = "bounded over the supplied kernels at this m only"
 
     @property
     def all_bounded(self) -> bool:
@@ -273,13 +271,15 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
         raise ValueError(f"need arity >= 1 and m >= 1, got arity={q}, m={m}")
     if m * q > MAX_TAMED_GROUND:
         raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_TAMED_GROUND}, got {m * q}")
+    # the real |f| tables, built once, are seen only by diagram_integral
+    moduli = [GridKernel._owned(q, f.bins, f.cell_width, np.abs(f.values)) for f in fs]
     peaks = [-math.inf] * len(fs)
     worst: list[SetPartition | None] = [None] * len(fs)
 
     def scan(blocks: Blocks) -> None:
         sigma = SetPartition(m * q, blocks)
-        for i, f in enumerate(fs):
-            val = diagram_integral(f, m, sigma, absolute=True).real
+        for i, f in enumerate(moduli):
+            val = diagram_integral(f, m, sigma).real
             if val > peaks[i]:
                 peaks[i], worst[i] = val, sigma
 

@@ -558,6 +558,13 @@ def test_moment_report_checks_the_oracle_order_before_any_engine(monkeypatch):
         moment_report(f, 15, "nonsense")
 
 
+def test_moment_report_names_the_engines_of_the_measure():
+    f = GridKernel.indicator(2)
+    message = "^method must be one of product, diagram for the wigner measure, got 'trace'$"
+    with pytest.raises(ValueError, match=message):
+        moment_report(f, 2, "trace", "wigner")
+
+
 def test_star_import_exports_no_submodules():
     assert not [name for name in freechaos.__all__ if isinstance(getattr(freechaos, name), ModuleType)]
     assert freechaos.__all__ == sorted(

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, formats, file IO, and the one-line error contract."""
 
+import argparse
 import json
 import math
 import re
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from freechaos import GridKernel, partitions, save_kernel
-from freechaos.cli import main
+from freechaos.chaos import ENGINES
+from freechaos.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -88,7 +90,7 @@ def test_nc_counts_build_no_partitions(capsys, monkeypatch):
         assert code == 0 and err == ""
         payload = json.loads(out)
         counts.append((payload["n"], payload["noncrossing"], payload["total"]))
-    assert counts == [(9, 4862, 21147), (14, 2674440, None)]
+    assert counts == [(9, 4862, 21147), (14, 2674440, 190899322)]
     code, out, err = run(capsys, "nc", "--n", "0")
     assert code == 1 and out == ""
     assert err == "error:size-limit: enumerate_nc needs 1 <= n <= 14, got 0\n"
@@ -457,6 +459,61 @@ FROZEN_JSON[("nc", "--classes", "--m", "3", "--q", "2", "--list")] = json.dumps(
 @pytest.mark.parametrize("argv", list(FROZEN_JSON), ids=" ".join)
 def test_json_bytes_are_frozen(capsys, argv):
     assert run(capsys, *argv, "--format", "json") == (0, FROZEN_JSON[argv], "")
+
+
+# One run per subcommand, with the parent-commit stdout of each format it
+# prints, the default first. Every other --format value is a usage error.
+MOMENTS_ALL = ("moments", "--method", "all", "--m", "4", "--bins", "8")
+IDENTITY = ("identity", "--bins", "2")
+CONVERGE = ("converge", "--family", "indicator", "--steps", "2", "--bins", "2")
+TRANSFER = ("transfer", "--M", "4", "--bins", "1")
+PRINTED_FORMATS = {
+    ("nc", "--n", "4"): {
+        "text": "14 non-crossing of 15 total\n",
+        "json": '{\n  "n": 4,\n  "noncrossing": 14,\n  "total": 15\n}\n',
+    },
+    ("riordan", "--m", "4"): {
+        "text": "R_{4,1}=1 R_{4,2}=2 R_4=3\n",
+        "json": '{\n  "counts": {\n    "1": 1,\n    "2": 2\n  },\n  "m": 4,\n  "total": 3\n}\n',
+    },
+    MOMENTS_ALL: {
+        "json": FROZEN_JSON[MOMENTS_ALL],
+        "csv": (
+            "q,m,lambda,method,value_re,value_im,oracle,delta\n"
+            "1,4,8,product,136,0,136,0\n"
+            "1,4,8,diagram,136,0,136,0\n"
+            "1,4,8,trace,136,0,136,0\n"
+        ),
+    },
+    IDENTITY: {"json": FROZEN_JSON[IDENTITY], "csv": FROZEN_CSV[IDENTITY]},
+    CONVERGE: {"json": FROZEN_JSON[CONVERGE], "csv": FROZEN_CSV[CONVERGE]},
+    TRANSFER: {"json": FROZEN_JSON[TRANSFER], "csv": FROZEN_CSV[TRANSFER]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [(argv, fmt) for argv in PRINTED_FORMATS for fmt in ("text", "json", "csv")],
+    ids=lambda x: x if isinstance(x, str) else x[0],
+)
+def test_each_subcommand_accepts_only_the_formats_it_prints(capsys, argv, fmt):
+    printed = PRINTED_FORMATS[argv]
+    result = run(capsys, *argv, "--format", fmt)
+    if fmt in printed:
+        assert result == (0, printed[fmt], "")
+        if fmt == next(iter(printed)):
+            assert run(capsys, *argv) == result
+    else:
+        code, out, err = result
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error:usage: argument --format: invalid choice: '{fmt}'")
+
+
+def test_moments_choices_come_from_the_engine_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {a.dest: a.choices for a in sub.choices["moments"]._actions}
+    assert choices["method"] == ENGINES["poisson"] + ("all",)
+    assert choices["measure"] == tuple(ENGINES)
 
 
 @pytest.mark.parametrize(

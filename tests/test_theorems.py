@@ -13,6 +13,7 @@ from freechaos import (
     IndicatorReport,
     MirrorSymmetryError,
     MomentReport,
+    SizeLimitError,
     TransferReport,
     TransferRow,
     convergence_experiment,
@@ -279,6 +280,36 @@ def test_perturbed_family_refuses_a_float_power_past_the_float_range():
     family.kernel_at(1)
     with pytest.raises(ValueError, match=r"^outside the float range: 1e\+200\*\*2$"):
         family.kernel_at(2)
+
+
+def test_experiments_check_the_oracle_order_before_the_diagram_engine(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the diagram engine ran for an order the oracle refuses")
+
+    monkeypatch.setattr(theorems, "moment_diagram", boom)
+    refused = "free_poisson_moment needs 1 <= m <= 14, got 15"
+    with pytest.raises(SizeLimitError, match=refused):
+        transfer_experiment(GridKernel.indicator(2), 15)
+    with pytest.raises(SizeLimitError, match=refused):
+        convergence_experiment(indicator_family(2), 2, moment_order=15)
+
+
+def test_convergence_runs_the_diagram_engine_once_per_order(monkeypatch):
+    calls = []
+
+    def counted(f, m, *args):
+        calls.append(m)
+        return moment_diagram(f, m, *args)
+
+    monkeypatch.setattr(theorems, "moment_diagram", counted)
+    family = perturbed_indicator_family()
+    for order, per_step in [(5, [4, 3, 1, 2, 5]), (2, [4, 3, 1, 2])]:
+        calls.clear()
+        series = convergence_experiment(family, 3, moment_order=order)
+        assert calls == per_step * 3
+        # the statistic comes from the same moments, and is the same float
+        statistics = [fourth_moment_statistic(family.kernel_at(n)) for n in (1, 2, 3)]
+        assert [r.statistic for r in series.records] == statistics
 
 
 def test_transfer_unit_rate_rows():
