@@ -245,9 +245,10 @@ def test_moment_product_odd_m_builds_only_the_orders_it_reads():
 def test_moment_diagram_reaches_sixteen_legs():
     # (2, 8) and (4, 4) have mq = 16 legs, (2, 7) has 14
     for q, m, seed in [(2, 8, 62), (4, 4, 63), (2, 7, 64)]:
-        f = sym_kernel(q, 2, 0.5, seed)
-        for measure in ("poisson", "wigner"):
-            assert rel_close(moment_diagram(f, m, measure), moment_product(f, m, measure), 1e-9)
+        for f in (sym_kernel(q, 2, 0.5, seed), hermitian_kernel(q, 2, 0.5, seed)):
+            for measure in ("poisson", "wigner"):
+                assert rel_close(moment_diagram(f, m, measure), moment_product(f, m, measure), 1e-9)
+            assert rel_close(moment_diagram(f, m), moment_trace_formula(f, m), 1e-9)
 
 
 def test_moment_diagram_matches_the_per_class_sum():
@@ -292,34 +293,132 @@ def test_diagram_terms_cover_every_class_once():
     for q in range(1, 5):
         for m in range(1, 12 // q + 1):
             pairings, _, ge2 = chaos.nc0_classes(m, q)
-            components, poisson, wigner = chaos._diagram_terms(m, q)
+            reps, orbits, poisson, wigner = chaos._diagram_terms(m, q)
             assert (len(poisson), len(wigner)) == (len(ge2), len(pairings))
-            assert len(set(components)) == len(components)
-            # each class is the disjoint union of its components, relabelled
+            assert len(set(reps)) == len(reps)
+            # each class is the disjoint union of its components, relabelled,
+            # and each index names one distinct component
+            components: dict[int, tuple] = {}
             for sigma, term in zip(ge2, poisson):
-                assert [components[i] for i in term] == chaos._components(sigma.blocks, q)
+                parts = chaos._components(sigma.blocks, q)
+                assert [components.setdefault(i, c) for i, c in zip(term, parts)] == parts
+            assert sorted(components) == list(range(len(orbits)))
+            assert len(set(components.values())) == len(components)
+            for i, blocks in components.items():
+                r, conj = orbits[i]
+                assert (reps[r], conj) == chaos._orbit(blocks, q)
             assert wigner == tuple(poisson[ge2.index(sigma)] for sigma in pairings)
-            # a Wigner moment integrates a prefix of the components
+            # representatives are numbered by first use, so a Wigner moment
+            # reads a prefix of the components and of the representatives
+            assert list(dict.fromkeys(r for r, _ in orbits)) == list(range(len(reps)))
             used = {i for term in wigner for i in term}
             assert used == set(range(len(used)))
             if q == 1:
                 sizes = {len(b) for sigma in ge2 for b in sigma.blocks}
-                assert sorted(components) == sorted((tuple(range(1, k + 1)),) for k in sizes)
+                assert sorted(reps) == sorted((tuple(range(1, k + 1)),) for k in sizes)
+                assert orbits == tuple((r, False) for r in range(len(reps)))
 
 
-def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
+def _dihedral_images(blocks, q):
+    """Every rotation of a class of [kq] by a multiple of q, then every
+    rotation of its reflection p -> kq + 1 - p, as canonical blocks."""
+    n = sum(map(len, blocks))
+
+    def turn(p, s):
+        return (p - 1 + s) % n + 1
+
+    def canonical(move):
+        return tuple(sorted(tuple(sorted(move(p) for p in b)) for b in blocks))
+
+    rotations = [canonical(lambda p, s=s: turn(p, s)) for s in range(0, n, q)]
+    reflections = [canonical(lambda p, s=s: turn(n + 1 - p, s)) for s in range(0, n, q)]
+    return rotations, reflections
+
+
+def test_orbit_members_integrate_equal_under_rotation_and_conjugate_under_reflection():
+    conjugate_pairs = 0
+    for q in range(2, 5):
+        for m in range(2, 12 // q + 1):
+            reps, orbits, _, _ = chaos._diagram_terms(m, q)
+            for seed, rep in enumerate(reps):
+                k = sum(map(len, rep)) // q
+                f = hermitian_kernel(q, 2, 0.7, 1000 * q + 10 * m + seed)
+                want = diagram_integral(f, k, SetPartition(k * q, rep))
+                rotations, reflections = _dihedral_images(rep, q)
+                for image in rotations:
+                    assert rel_close(diagram_integral(f, k, SetPartition(k * q, image)), want)
+                for image in reflections:
+                    got = diagram_integral(f, k, SetPartition(k * q, image))
+                    assert rel_close(got, want.conjugate())
+                    conjugate_pairs += abs(want.imag) > 1e-3 * abs(want)
+                # the representative is the least member of its orbit, and
+                # every member maps back to it, flagged when only a reflection
+                # reaches it
+                assert rep == min(rotations + reflections)
+                for image in rotations:
+                    assert chaos._orbit(image, q) == (rep, False)
+                for image in set(reflections) - set(rotations):
+                    assert chaos._orbit(image, q) == (rep, True)
+    # the kernels tell a value from its conjugate
+    assert conjugate_pairs > 0
+
+
+def test_dihedral_orbit_counts():
+    # distinct components -> orbits; at q = 1 each block size is its own orbit
+    want = {(6, 2): (44, 12), (7, 2): (157, 22), (8, 2): (578, 61), (5, 3): (28, 7), (4, 4): (8, 5), (12, 1): (10, 10)}
+    for (m, q), counts in want.items():
+        reps, orbits, _, _ = chaos._diagram_terms(m, q)
+        assert (len(orbits), len(reps)) == counts, (m, q)
+
+
+def _count_diagram_calls(monkeypatch) -> list:
     calls = []
     original = chaos.diagram_integral
 
     def counted(f, m, sigma):
-        calls.append(m)
+        calls.append(sigma)
         return original(f, m, sigma)
 
     monkeypatch.setattr(chaos, "diagram_integral", counted)
+    return calls
+
+
+def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
+    calls = _count_diagram_calls(monkeypatch)
     f = sym_kernel(1, 2, 0.7, 70)
     moment_diagram(f, 12)
     # 4,213 classes; no block has 11 elements, as it would leave a singleton
-    assert sorted(calls) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    assert sorted(sigma.n for sigma in calls) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+
+
+@pytest.mark.parametrize("m, q, poisson, wigner", [(6, 2, 12, 4), (7, 2, 22, 5), (5, 3, 7, 0), (4, 4, 5, 3)])
+def test_moment_diagram_integrates_each_orbit_once(monkeypatch, m, q, poisson, wigner):
+    calls = _count_diagram_calls(monkeypatch)
+    f = hermitian_kernel(q, 2, 0.7, 71)
+    reps = chaos._diagram_terms(m, q)[0]
+    for measure, count in (("poisson", poisson), ("wigner", wigner)):
+        calls.clear()
+        moment_diagram(f, m, measure)
+        # one call per representative, the pairings' ones a prefix
+        assert [sigma.blocks for sigma in calls] == list(reps[:count]), measure
+
+
+def test_reflected_components_tolerate_the_mirror_check_gap():
+    # the adjoint is off by about 1e-13 of the peak, which the mirror check
+    # admits; flagged components are read as conjugates all the same
+    rng = np.random.default_rng(72)
+    for bins in (2, 3):
+        f = hermitian_kernel(2, bins, 0.8, 72 + bins)
+        peak = float(np.max(np.abs(f.values)))
+        noise = rng.uniform(-1, 1, (bins, bins)) + 1j * rng.uniform(-1, 1, (bins, bins))
+        g = GridKernel(2, bins, 0.8, f.values + 1e-13 * peak * noise)
+        gap = float(np.max(np.abs(g.values - adjoint(g).values)))
+        assert 0.5e-13 * peak < gap and is_mirror_symmetric(g)
+        for m in range(2, 7):
+            for measure in ("poisson", "wigner"):
+                want = moment_product(g, m, measure)
+                assert rel_close(moment_diagram(g, m, measure), want, 1e-9), (bins, m, measure)
+            assert rel_close(moment_trace_formula(g, m), moment_product(g, m), 1e-9), (bins, m)
 
 
 def test_index_sets_basic_families():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freechaos import (
     GridKernel,
@@ -93,6 +94,33 @@ def test_identity_reaches_past_the_full_power_table():
     for engine in (moment_trace_formula, moment_diagram):
         lhs = (engine(f, 4) - 2 * engine(f, 3)).real + rep.lam
         assert rel_close(rep.lhs, lhs, 1e-9)
+
+
+@given(
+    q=st.integers(2, 4),
+    bins=st.integers(1, 3),
+    width=st.sampled_from([0.3, 0.8, 1.0, 2.5]),
+    complex_values=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_no_free_poisson_element_in_a_chaos_of_order_two_or_more(q, bins, width, complex_values, seed):
+    # Paper result (ii). star_q(f, f)(x) integrates |f|^2 over every argument
+    # but the shared one, so its integral is lambda, and by Cauchy-Schwarz on
+    # [0, bins*width) its squared norm is at least lambda^2 / (bins*width).
+    # Then m4 - 2*m3 + lam - 2*lam^2, which is 0 for the free Poisson law of
+    # rate lam, is positive.
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (bins,) * q).astype(np.complex128)
+    if complex_values:
+        raw = raw + 1j * rng.uniform(-1.0, 1.0, (bins,) * q)
+    adj = np.conj(np.transpose(raw, tuple(reversed(range(q)))))
+    f = GridKernel(q, bins, width, (raw + adj) / 2)
+    report = fourth_moment_identity(f)
+    lam = report.lam
+    bound = lam**2 / (bins * width)
+    assert report.terms[f"star_{q}"] >= (1 - 1e-12) * bound
+    assert report.lhs - 2 * lam**2 >= (1 - 1e-9) * bound
 
 
 def test_identity_rejects_bad_kernels():
