@@ -77,12 +77,6 @@ class ChaosElement:
             return cls(bins, cell_width, {})
         return cls(bins, cell_width, {0: GridKernel.constant(value, bins, cell_width)})
 
-    def term(self, order: int) -> GridKernel | None:
-        return self.terms.get(order)
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
     def element_adjoint(self) -> ChaosElement:
         return ChaosElement(
             self.bins, self.cell_width, {k: adjoint(v) for k, v in self.terms.items()}
@@ -383,19 +377,29 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     """m-th moment as a sum of closed contraction chains.
 
     The chains of every word of length m-2 and every admissible depth tuple
-    are walked as one prefix tree of raw tables, so each shared chain prefix
-    is contracted once. A node extends its parent's left-nested chain by one
-    arc (letter 0) or star (letter 1) contraction against f. A branch is
-    dropped once its arity is too far from q to return in the steps left,
-    since each step moves the arity by at most q.
+    are walked depth-first as one prefix tree of raw tables, so each shared
+    chain prefix is contracted once. A node extends its parent's left-nested
+    chain by one arc (letter 0) or star (letter 1) contraction against f. A
+    branch is dropped once its arity is too far from q to return in the steps
+    left, since each step moves the arity by at most q.
 
-    So a chain X of arity a one step from its end has one admissible last
-    step, depth ceil(a/2) with letter a mod 2, to arity q, after which the
-    full arc against one more copy of f closes it. Step and closing fuse into
-    one inner product, arc(X, C_a, a), where C_a is arc_contraction(f, f,
-    q - a/2) for even a and star_contraction(f, f, q - (a-1)/2) for odd a;
-    each C_a is built on first use, in a dict local to the call. Every chain
-    is still closed on its own.
+    So a chain of arity a one step from its end has one admissible last step,
+    depth ceil(a/2) with letter a mod 2, to arity q, after which the full arc
+    against one more copy of f closes it. Step and closing make one arc of the
+    chain against C_a, which is arc_contraction(f, f, q - a/2) for even a and
+    star_contraction(f, f, q - (a-1)/2) for odd a. One step earlier, a chain X
+    of arity a, its step (letter, depth k) to arity a' and the closing make one
+    arc of X against one row P: arc_contraction(f, C_a', q - k) for an arc
+    step and star_contraction(f, C_a', q - k + 1) for a star step. The rows of
+    every step from arity a are built on first use, in a dict local to the
+    call, with their axes reversed and flattened, and the C_a' they need with
+    them. Reversing the axes of a contraction of f with g gives the same
+    contraction of g reversed with f reversed, so a row is built reversed and
+    no table is transposed. A node two steps from its end then costs one
+    matrix-vector product against its arity's rows: each entry is the value
+    of one chain, closed on its own, and their sum is the node's total. The
+    nodes one step from the end are never built; the size of each is still
+    checked.
     """
     _require_mirror(f)
     if m < 1:
@@ -408,29 +412,52 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
     if m == 2:
         return _finite("moment_trace_formula", m, complex(arc_contraction(f, f, q).values))
     fv, width = f.values, f.cell_width
-    closing: dict[int, np.ndarray] = {}  # a -> C_a with reversed axes, flat, times cell_width^a
+    fr = np.ascontiguousarray(fv.transpose(tuple(range(q - 1, -1, -1))))  # f with reversed axes
+    closing: dict[int, np.ndarray] = {}  # a -> C_a with reversed axes
+    rows: dict[int, np.ndarray] = {}  # a -> one reversed, flat row per step from arity a, times cell_width^a
 
-    def close(x: np.ndarray) -> complex:
-        a = x.ndim
+    def closing_table(a: int) -> np.ndarray:
         c = closing.get(a)
         if c is None:
-            contract = star_contraction if a % 2 else arc_contraction
-            table = contract(f, f, q - a // 2).values
-            c = closing[a] = table.transpose(tuple(range(a - 1, -1, -1))).ravel() * width**a
-        return complex(x.ravel() @ c)
+            c = closing[a] = (_star_table if a % 2 else _arc_table)(fr, fr, q - a // 2, width)
+        return c
+
+    def moves(arity: int, steps: int) -> list[tuple[int, int]]:
+        # (letter, depth) of each step from arity that can still close in the steps left after it
+        return [
+            (letter, k)
+            for letter in (0, 1)
+            for k in range(letter, min(q, arity) + 1)
+            if abs(arity + letter - 2 * k) <= (steps - 1) * q
+        ]
+
+    def row_table(a: int) -> np.ndarray:
+        r = rows.get(a)
+        if r is None:
+            found = moves(a, 2)
+            for letter, k in found:
+                _require_table_size(f.bins, a + q + letter - 2 * k)
+            r = np.empty((len(found), f.bins**a), np.complex128)
+            for i, (letter, k) in enumerate(found):
+                core = _star_table if letter else _arc_table
+                r[i] = core(closing_table(a + q + letter - 2 * k), fr, q - k + letter, width).ravel()
+            if width != 1:
+                r *= width**a
+            rows[a] = r
+        return r
 
     def walk(x: np.ndarray, steps: int) -> complex:
-        if steps == 1:
-            return close(x)
         arity = x.ndim
+        if steps == 2:  # summed in Python: a sum past the float range is inf for _finite, not a numpy warning
+            return sum((row_table(arity) @ x.ravel()).tolist(), 0j)
         total = 0j
-        for letter, core in ((0, _arc_table), (1, _star_table)):
-            for k in range(letter, min(q, arity) + 1):
-                if abs(arity + letter - 2 * k) <= (steps - 1) * q:
-                    _require_table_size(f.bins, arity + q + letter - 2 * k)
-                    total += walk(core(x, fv, k, width), steps - 1)
+        for letter, k in moves(arity, steps):
+            _require_table_size(f.bins, arity + q + letter - 2 * k)
+            total += walk((_star_table if letter else _arc_table)(x, fv, k, width), steps - 1)
         return total
 
+    if m == 3:  # f is one step from its end
+        return _finite("moment_trace_formula", m, complex(fv.ravel() @ closing_table(q).ravel()) * width**q)
     return _finite("moment_trace_formula", m, walk(fv, m - 2))
 
 

@@ -58,7 +58,9 @@ def build_parser() -> _Parser:
     p_nc.add_argument("--m", type=int, help="number of kernel copies for class counting")
     p_nc.add_argument("--q", type=int, help="kernel arity for class counting")
     p_nc.add_argument("--classes", action="store_true", help="count the diagram classes for (m, q)")
-    p_nc.add_argument("--list", dest="listing", action="store_true", help="include the partitions themselves")
+    p_nc.add_argument(
+        "--list", dest="listing", action="store_true", help="include the partitions themselves (JSON only)"
+    )
     common(p_nc, ("text", "json"))
 
     p_r = sub.add_parser("riordan", help="no-singleton non-crossing partition counts by block count")
@@ -80,12 +82,12 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--family", choices=("indicator", "perturbed-indicator", "hyperdiagonal"), required=True)
     p_conv.add_argument("--steps", type=int, default=8)
     p_conv.add_argument("--M", dest="max_order", type=int, default=5, help="largest moment order tracked")
-    p_conv.add_argument("--q", type=int, default=2, help="arity for the hyperdiagonal family")
+    p_conv.add_argument("--q", type=int, help="arity for the hyperdiagonal family (default 2)")
     p_conv.add_argument("--bins", type=int, default=4)
     p_conv.add_argument("--cell-width", type=float, default=1.0)
-    p_conv.add_argument("--eps0", type=float, default=0.5)
-    p_conv.add_argument("--rho", type=float, default=0.5)
-    p_conv.add_argument("--seed", type=int, default=0)
+    p_conv.add_argument("--eps0", type=float, help="for the perturbed-indicator family (default 0.5)")
+    p_conv.add_argument("--rho", type=float, help="for the perturbed-indicator family (default 0.5)")
+    p_conv.add_argument("--seed", type=int, help="for the perturbed-indicator family (default 0)")
     p_conv.add_argument("--tol", type=float, default=1e-2, help="final-gap threshold")
     common(p_conv, ("json", "csv"))
 
@@ -99,16 +101,37 @@ def build_parser() -> _Parser:
 
 def _kernel_flags(p: _Parser) -> None:
     p.add_argument("--kernel", dest="kernel_path", default=None, help="kernel JSON file")
-    p.add_argument("--family", choices=("indicator", "random"), default="indicator")
-    p.add_argument("--q", type=int, default=1, help="arity for the random family")
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--cell-width", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--family", choices=("indicator", "random"), help="without --kernel (default indicator)")
+    p.add_argument("--q", type=int, help="arity for the random family (default 1)")
+    p.add_argument("--bins", type=int, help="without --kernel (default 8)")
+    p.add_argument("--cell-width", type=float, help="without --kernel (default 1.0)")
+    p.add_argument("--seed", type=int, help="for the random family (default 0)")
+
+
+# The flags below default to None, so that one set to its default value is
+# still seen as set. Each source reads some of them; _settle refuses the rest.
+_KERNEL_DEFAULTS = {"family": "indicator", "q": 1, "bins": 8, "cell_width": 1.0, "seed": 0}
+_KERNEL_READS = {"indicator": ("family", "bins", "cell_width"), "random": tuple(_KERNEL_DEFAULTS)}
+_CONVERGE_DEFAULTS = {"q": 2, "eps0": 0.5, "rho": 0.5, "seed": 0}
+_CONVERGE_READS = {"indicator": (), "perturbed-indicator": ("eps0", "rho", "seed"), "hyperdiagonal": ("q",)}
+
+
+def _settle(cfg: argparse.Namespace, defaults: dict, read: tuple[str, ...], source: str) -> None:
+    """Refuse a flag that was set but that the source does not read, then fill
+    in the default of each flag left unset."""
+    for name, value in defaults.items():
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, value)
+        elif name not in read:
+            raise UsageError(f"--{name.replace('_', '-')} is not read {source}")
 
 
 def _resolve_kernel(cfg: argparse.Namespace) -> GridKernel:
     if cfg.kernel_path is not None:
+        _settle(cfg, _KERNEL_DEFAULTS, (), "with --kernel")
         return load_kernel(cfg.kernel_path)
+    family = cfg.family or _KERNEL_DEFAULTS["family"]
+    _settle(cfg, _KERNEL_DEFAULTS, _KERNEL_READS[family], f"by --family {family}")
     if cfg.family == "random":
         return GridKernel.random_mirror_symmetric(cfg.q, cfg.bins, cfg.cell_width, cfg.seed)
     return GridKernel.indicator(cfg.bins, cfg.cell_width)
@@ -127,7 +150,12 @@ def _json(obj) -> str:
 
 
 def cmd_nc(cfg: argparse.Namespace) -> str:
+    # the text format prints counts only, so a listing it would drop is never built
+    if cfg.listing and cfg.fmt != "json":
+        raise UsageError("nc --list needs --format json")
     if cfg.classes:
+        if cfg.n is not None:
+            raise UsageError("nc --classes reads --m and --q, not --n")
         if cfg.m is None or cfg.q is None:
             raise UsageError("nc --classes needs --m and --q")
         pairings, big, ge2 = nc0_classes(cfg.m, cfg.q)
@@ -150,6 +178,8 @@ def cmd_nc(cfg: argparse.Namespace) -> str:
             f"(m={cfg.m}, q={cfg.q}): {len(pairings)} pairings, "
             f"{len(big)} with blocks > 2, {len(ge2)} with blocks >= 2\n"
         )
+    if cfg.m is not None or cfg.q is not None:
+        raise UsageError("nc reads --m and --q only with --classes")
     if cfg.n is None:
         raise UsageError("nc needs --n, or --classes with --m and --q")
     # counts come in closed form; only --list builds partitions
@@ -190,6 +220,7 @@ def cmd_identity(cfg: argparse.Namespace) -> str:
 
 
 def cmd_converge(cfg: argparse.Namespace) -> str:
+    _settle(cfg, _CONVERGE_DEFAULTS, _CONVERGE_READS[cfg.family], f"by --family {cfg.family}")
     if cfg.family == "indicator":
         family = indicator_family(cfg.bins, cfg.cell_width)
     elif cfg.family == "perturbed-indicator":

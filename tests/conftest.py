@@ -102,8 +102,8 @@ def random_kernel(arity: int, bins: int, cell_width: float, seed: int, complex_v
 def element_gap(a, b) -> float:
     """Largest relative entrywise gap between two chaos elements, over all orders."""
     gap = 0.0
-    for order in set(a.orders()) | set(b.orders()):
-        fa, fb = a.term(order), b.term(order)
+    for order in set(a.terms) | set(b.terms):
+        fa, fb = a.terms.get(order), b.terms.get(order)
         va = fa.values if fa is not None else np.zeros(())
         vb = fb.values if fb is not None else np.zeros(())
         diff = float(np.max(np.abs(va - vb)))

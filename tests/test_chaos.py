@@ -60,12 +60,12 @@ def test_square_of_indicator_integral():
     f = GridKernel.indicator(4)
     x = ChaosElement.integral(f)
     sq = poisson_multiply(x, x)
-    assert sq.orders() == (0, 1, 2)
-    assert complex(sq.term(0).values) == 4.0
-    assert np.allclose(sq.term(1).values, f.values)  # shared-variable term: f squared = f
-    assert np.allclose(sq.term(2).values, np.ones((4, 4)))
+    assert sorted(sq.terms) == [0, 1, 2]
+    assert complex(sq.terms[0].values) == 4.0
+    assert np.allclose(sq.terms[1].values, f.values)  # shared-variable term: f squared = f
+    assert np.allclose(sq.terms[2].values, np.ones((4, 4)))
     wig = wigner_multiply(x, x)
-    assert wig.orders() == (0, 2)
+    assert sorted(wig.terms) == [0, 2]
 
 
 def test_scalar_terms_multiply_through():
@@ -73,8 +73,8 @@ def test_scalar_terms_multiply_through():
     x = ChaosElement.integral(f)
     c = ChaosElement.from_scalar(2.5, 3, 1.0)
     scaled = poisson_multiply(c, x)
-    assert scaled.orders() == (1,)
-    assert np.allclose(scaled.term(1).values, 2.5 * f.values)
+    assert sorted(scaled.terms) == [1]
+    assert np.allclose(scaled.terms[1].values, 2.5 * f.values)
     assert trace(poisson_multiply(c, c)) == 6.25
 
 
@@ -87,8 +87,8 @@ def test_order_zero_is_an_ordinary_arity_zero_term():
     cx = ChaosElement.from_scalar(c, 3, 0.7)
     for mul in (poisson_multiply, wigner_multiply):
         for prod in (mul(cx, x), mul(x, cx)):
-            assert prod.orders() == (2,)
-            assert np.max(np.abs(prod.term(2).values - c * f.values)) <= 1e-15 * np.max(np.abs(c * f.values))
+            assert sorted(prod.terms) == [2]
+            assert np.max(np.abs(prod.terms[2].values - c * f.values)) <= 1e-15 * np.max(np.abs(c * f.values))
         assert abs(trace(mul(cx, cx)) - c * c) <= 1e-15 * abs(c * c)
     b = 0.5 + 2j
     assert abs(element_inner(cx, ChaosElement.from_scalar(b, 3, 0.7)) - c * np.conj(b)) <= 1e-15 * abs(c * b)
@@ -486,7 +486,7 @@ def test_power_expansion_orders_lie_in_admissible_support():
         for word in words(m, weight):
             for r in index_sets(m, q, word).admissible:
                 reachable.add(m * q + weight - 2 * sum(r))
-    assert set(power_expansion(f, m).orders()) <= reachable
+    assert set(power_expansion(f, m).terms) <= reachable
 
 
 def test_admissible_tuples_match_exhaustive_filter():
@@ -523,7 +523,7 @@ def test_trace_formula_indicator_fourth_moment():
 def test_trace_tree_matches_exhaustive_closing_sum():
     # the exhaustive scan over words and closing depth tuples is the oracle
     # for the pruned prefix-tree walk: a wrongly pruned branch drops terms
-    for q, ms in [(1, range(2, 8)), (2, range(2, 6)), (3, range(2, 5))]:
+    for q, ms in [(1, range(2, 10)), (2, range(2, 8)), (3, range(2, 6))]:
         f = hermitian_kernel(q, 3, 0.6, 50 + q)
         for m in ms:
             oracle = 0j
@@ -539,6 +539,14 @@ def test_trace_tree_matches_exhaustive_closing_sum():
             assert rel_close(moment_trace_formula(f, m), oracle, 1e-12)
 
 
+def closing_table(f, a):
+    # C_a: the table that the one last step from arity a and the closing arc fuse into
+    q = f.arity
+    if a % 2:
+        return star_contraction(f, f, q - (a - 1) // 2)
+    return arc_contraction(f, f, q - a // 2)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_closing_step_fuses_into_one_arc(q):
     # a chain X of arity a one step from its leaf has one last step, depth
@@ -548,13 +556,30 @@ def test_closing_step_fuses_into_one_arc(q):
         for f in (sym_kernel(q, 3, width, 60 + q), hermitian_kernel(q, 3, width, 70 + q)):
             for a in range(2 * q + 1):
                 x = random_kernel(a, 3, width, 80 + a, complex_values=True)
-                k = (a + 1) // 2
-                if a % 2:
-                    step, closing = star_contraction(x, f, k), star_contraction(f, f, q - (a - 1) // 2)
-                else:
-                    step, closing = arc_contraction(x, f, k), arc_contraction(f, f, q - a // 2)
-                fused = complex(arc_contraction(x, closing, a).values)
+                step = (star_contraction if a % 2 else arc_contraction)(x, f, (a + 1) // 2)
+                fused = complex(arc_contraction(x, closing_table(f, a), a).values)
                 assert rel_close(complex(arc_contraction(step, f, q).values), fused, 1e-12), (q, width, a)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_two_steps_and_the_closing_fuse_into_one_arc(q):
+    # a chain X of arity a two steps from its leaf (a <= 3q, the most the walk
+    # keeps there): each admissible step (letter, depth k) to arity a' and the
+    # closing make the single arc of X against one row P, built from C_a'
+    for width in (0.7, 1.0):
+        for f in (sym_kernel(q, 3, width, 60 + q), hermitian_kernel(q, 3, width, 70 + q)):
+            for a in range(3 * q + 1):
+                x = random_kernel(a, 3, width, 80 + a, complex_values=True)
+                steps = [(letter, k) for letter in (0, 1) for k in range(letter, min(q, a) + 1)
+                         if abs(a + letter - 2 * k) <= q]
+                assert steps
+                for letter, k in steps:
+                    step = (star_contraction if letter else arc_contraction)(x, f, k)
+                    closing = closing_table(f, step.arity)
+                    row = star_contraction(f, closing, q - k + 1) if letter else arc_contraction(f, closing, q - k)
+                    closed = complex(arc_contraction(step, closing, step.arity).values)
+                    fused = complex(arc_contraction(x, row, a).values)
+                    assert rel_close(closed, fused, 1e-12), (q, width, a, letter, k)
 
 
 def test_trace_walk_refuses_an_oversize_chain_before_allocating():

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -63,6 +64,34 @@ def test_nc_requires_arguments(capsys):
 def test_nc_classes_requires_m_and_q(capsys):
     code, _, err = run(capsys, "nc", "--classes", "--m", "3")
     assert code == 2 and err.startswith("error:usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("nc", "--n", "4", "--list"), "nc --list needs --format json"),
+        (("nc", "--classes", "--m", "3", "--q", "2", "--list"), "nc --list needs --format json"),
+        (("nc", "--classes", "--m", "3", "--q", "2", "--n", "4"), "nc --classes reads --m and --q, not --n"),
+        (("nc", "--n", "4", "--m", "3"), "nc reads --m and --q only with --classes"),
+        (("nc", "--n", "4", "--q", "2"), "nc reads --m and --q only with --classes"),
+    ],
+    ids=" ".join,
+)
+def test_nc_refuses_flags_it_would_not_use(capsys, argv, line):
+    # the text format used to build a listing and print only the counts
+    assert run(capsys, *argv) == (2, "", f"error:usage: {line}\n")
+
+
+def test_nc_text_listing_is_refused_before_enumerating(capsys):
+    # enumerating [14] took about 12 s and 811 MiB, for a listing text never printed
+    tracemalloc.start()
+    try:
+        result = run(capsys, "nc", "--n", "14", "--list")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", "error:usage: nc --list needs --format json\n")
+    assert peak < 1 << 20
 
 
 def test_nc_size_guard(capsys):
@@ -760,6 +789,44 @@ def test_converge_hyperdiagonal_bad_bins_names_bins(capsys, bins):
 def test_arity_zero_is_domain(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith("error:domain:") and err.count("\n") == 1
+
+
+# Flags that the run would not read, each set on its own. The kernel file need
+# not exist: the flags are checked before any work.
+UNREAD_FLAGS = [
+    (("--q", "2"), "--q is not read by --family indicator"),
+    (("--seed", "3"), "--seed is not read by --family indicator"),
+    (("--family", "indicator", "--seed", "0"), "--seed is not read by --family indicator"),
+] + [
+    (("--kernel", "missing.json", *flag), f"{flag[0]} is not read with --kernel")
+    for flag in (("--family", "indicator"), ("--family", "random"), ("--q", "1"), ("--bins", "8"),
+                 ("--cell-width", "1.0"), ("--seed", "0"))
+]
+
+
+@pytest.mark.parametrize("prefix", [("moments", "--m", "4"), ("identity",), ("transfer", "--M", "3")], ids=" ".join)
+@pytest.mark.parametrize("flags, line", UNREAD_FLAGS, ids=[" ".join(f) for f, _ in UNREAD_FLAGS])
+def test_kernel_flags_that_are_not_read_are_usage_errors(capsys, prefix, flags, line):
+    # `moments --m 4 --q 2 --bins 3` used to exit 0 and print "q": 1
+    assert run(capsys, *prefix, *flags) == (2, "", f"error:usage: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [
+        (family, flag)
+        for family, unread in (
+            ("indicator", ("--q", "--eps0", "--rho", "--seed")),
+            ("perturbed-indicator", ("--q",)),
+            ("hyperdiagonal", ("--eps0", "--rho", "--seed")),
+        )
+        for flag in unread
+    ],
+    ids=" ".join,
+)
+def test_converge_flags_that_are_not_read_are_usage_errors(capsys, family, flag):
+    result = run(capsys, "converge", "--family", family, flag, "2")
+    assert result == (2, "", f"error:usage: {flag} is not read by --family {family}\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
