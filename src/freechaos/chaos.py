@@ -213,64 +213,52 @@ def _orbit(blocks: Blocks, q: int) -> tuple[Blocks, bool]:
     and the legs of each, which conjugates it when f is mirror symmetric,
     f(x_q..x_1) = conj f(x_1..x_q). The representative is the smallest
     canonical block tuple over the k rotations and the k rotated reflections,
-    and the flag is set when only a reflection reaches it. At q = 1 a
-    component is one block and its own representative.
+    and the flag is set when only a reflection reaches it (on a tie, min
+    prefers a rotation). At q = 1 a component is one block and its own
+    representative.
     """
-    if q == 1:
-        return blocks, False
     n = sum(map(len, blocks))
 
     def image(b: tuple[int, ...], flip: bool, shift: int) -> tuple[int, ...]:
         return tuple(sorted([((n - p if flip else p - 1) + shift) % n + 1 for p in b]))
 
-    # An image's first block is the image of the block that the move maps onto
-    # 1, so only the moves whose first block is least are carried out in full.
-    # On a tie, min prefers a rotation (flip False).
-    home = {p: b for b in blocks for p in b}
-    moves = [(flip, shift) for flip in (False, True) for shift in range(0, n, q)]
-    firsts = [image(home[(shift - 1) % n + 1 if flip else (n - shift) % n + 1], flip, shift) for flip, shift in moves]
-    lead = min(firsts)
     return min(
         (tuple(sorted([image(b, flip, shift) for b in blocks])), flip)
-        for (flip, shift), first in zip(moves, firsts)
-        if first == lead
+        for flip in (False, True)
+        for shift in range(0, n, q)
     )
 
 
 @lru_cache(maxsize=None)
-def _diagram_terms(
-    m: int, q: int
-) -> tuple[
-    tuple[Blocks, ...], tuple[tuple[int, bool], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]
-]:
-    """The classes of moment_diagram as products of component integrals.
+def _diagram_terms(m: int, q: int) -> dict[str, tuple[tuple[SetPartition, ...], tuple[tuple[int, ...], ...]]]:
+    """The classes of moment_diagram as products of component integrals, one
+    table per measure: the Poisson measure sums over all blocks >= 2, the
+    Wigner measure over the pairings, each in nc0_classes order.
 
-    Returns the orbit representatives of the distinct connected components of
-    the classes of (m, q), as canonical block tuples; then, per distinct
-    component, the index of its representative and its conjugation flag
-    (_orbit); then one tuple of component indices per class: for the Poisson
-    measure over all blocks >= 2, for the Wigner measure over the pairings,
-    each in nc0_classes order. The pairings are split first, and the
-    representatives are numbered by the first component of their orbit, so a
-    Wigner moment reads a prefix of the components and of the
-    representatives. Equal index tuples are one object.
+    A measure's table holds the orbit representatives its classes use, as
+    partitions in order of first use, and one tuple per class with an entry
+    per connected component (_components): 2r when the component's integral
+    is representative r's, 2r + 1 when it is the conjugate (_orbit). Equal
+    tuples are one object.
     """
-    index: dict[Blocks, int] = {}  # component -> its index
+    orbit: dict[Blocks, tuple[Blocks, bool]] = {}  # component -> (representative, flag)
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def split(sigma: SetPartition) -> tuple[int, ...]:
-        term = tuple([index.setdefault(blocks, len(index)) for blocks in _components(sigma.blocks, q)])
-        return shared.setdefault(term, term)
-
     pairings, _, ge2 = nc0_classes(m, q)
-    wigner = tuple(map(split, pairings))
-    poisson = tuple(map(split, ge2))
-    reps: dict[Blocks, int] = {}  # representative -> its index
-    orbits = []
-    for blocks in index:
-        rep, conj = _orbit(blocks, q)
-        orbits.append((reps.setdefault(rep, len(reps)), conj))
-    return tuple(reps), tuple(orbits), poisson, wigner
+    table = {}
+    for measure, classes in (("poisson", ge2), ("wigner", pairings)):
+        reps: dict[Blocks, int] = {}  # representative -> its index
+        terms = []
+        for sigma in classes:
+            factors = []
+            for blocks in _components(sigma.blocks, q):
+                if blocks not in orbit:
+                    orbit[blocks] = _orbit(blocks, q)
+                rep, conj = orbit[blocks]
+                factors.append(2 * reps.setdefault(rep, len(reps)) + conj)
+            term = tuple(factors)
+            terms.append(shared.setdefault(term, term))
+        table[measure] = (tuple([SetPartition(sum(map(len, rep)), rep) for rep in reps]), tuple(terms))
+    return table
 
 
 def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> complex:
@@ -283,19 +271,20 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     unchanged and reflecting them conjugates it (_orbit), so the 44 distinct
     components at (6, 2) are 12 orbits and the 578 at (8, 2) are 61. The split
     of every class and the orbit of every component are computed once per
-    shape (m, q) and kept as one table (_diagram_terms; about 1.8 MiB at
-    (16, 1), where the classes took about 66 MiB). It is the only cache of
-    the classes: nc0_classes does not keep them.
+    shape (m, q) and kept as one table per measure (_diagram_terms; about
+    1.8 MiB at (16, 1), where the classes took about 66 MiB). It is the only
+    cache of the classes: nc0_classes does not keep them.
 
-    Each call integrates each orbit representative its measure uses once,
-    reads each component as that value or, when flagged, its conjugate, and
-    sums one product per class. At q = 1 each block size is an orbit of its
-    own, so a moment needs one einsum per block size. The conjugates are
-    exact only for an exactly mirror-symmetric f: the mirror check admits a
-    gap of MIRROR_TOL relative to the peak value, and a flagged component's
-    value can move by about that much. Each einsum runs in numpy's default
-    order; a contraction order for the large representatives waits until the
-    benchmark keeps its per-op memory flat (ROADMAP item 1).
+    Each call integrates each representative of its measure's table once,
+    lays the values out as [v0, conj v0, v1, conj v1, ...], so that entry
+    2r + flag of a class's tuple indexes it directly, and sums one product
+    per class. At q = 1 each block size is an orbit of its own, so a moment
+    needs one einsum per block size. The conjugates are exact only for an
+    exactly mirror-symmetric f: the mirror check admits a gap of MIRROR_TOL
+    relative to the peak value, and a flagged component's value can move by
+    about that much. Each einsum runs in numpy's default order; a contraction
+    order for the large representatives waits until the benchmark keeps its
+    per-op memory flat (ROADMAP item 1).
     """
     _check_measure(measure)
     _require_mirror(f)
@@ -304,24 +293,16 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     q = f.arity
     if m * q > MAX_NC_GROUND:
         raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * q}")
-    reps, orbits, poisson, wigner = _diagram_terms(m, q)
-    if measure == "poisson":
-        terms, used = poisson, len(orbits)
-    else:  # the pairings' components come first
-        terms, used = wigner, 1 + max(map(max, wigner), default=-1)
+    reps, terms = _diagram_terms(m, q)[measure]
     # Each einsum below allocates and frees iterator buffers of up to 128 KiB per
     # operand. Until a process frees its first large block, glibc gives such
     # memory back to the system at once, so every call faults it in again (2x
     # the time on few bins); freeing one untouched 2 MiB block ends that.
     np.empty(1 << 21, np.uint8)
-    values: list[complex] = []  # per representative
-    parts = []  # per component
-    for r, conj in orbits[:used]:
-        if r == len(values):  # representatives are numbered by first use
-            blocks = reps[r]
-            n = sum(map(len, blocks))
-            values.append(diagram_integral(f, n // q, SetPartition(n, blocks)))
-        parts.append(values[r].conjugate() if conj else values[r])
+    parts: list[complex] = []  # per representative, its value and its conjugate
+    for sigma in reps:
+        value = diagram_integral(f, sigma.n // q, sigma)
+        parts += (value, value.conjugate())
     total = 0j
     for term in terms:
         total += math.prod([parts[i] for i in term])

@@ -25,7 +25,7 @@ from .kernels import GridKernel, load_kernel
 from .partitions import _require_nc_enum_ground, bell, catalan, enumerate_nc, nc0_classes, riordan
 # unused here since nc counts in closed form; tracing wraps cli.enumerate_partitions
 from .partitions import enumerate_partitions  # noqa: F401
-from .records import rows_to_csv
+from .records import require_finite, rows_to_csv
 from .theorems import (
     convergence_experiment,
     fourth_moment_identity,
@@ -228,7 +228,9 @@ def cmd_converge(cfg: argparse.Namespace) -> str:
     else:
         if cfg.bins < 1:
             raise ValueError(f"bins must be >= 1, got {cfg.bins}")
-        family = hyperdiagonal_family(cfg.q, cfg.bins * cfg.cell_width)
+        if not 0 < cfg.cell_width < np.inf:
+            raise ValueError(f"cell_width must be > 0 and finite, got {cfg.cell_width}")
+        family = hyperdiagonal_family(cfg.q, require_finite("bins * cell_width", cfg.bins * cfg.cell_width))
     series = convergence_experiment(family, cfg.steps, cfg.max_order, cfg.tol)
     if cfg.fmt == "csv":
         return series.to_csv()

@@ -287,6 +287,8 @@ def convergence_experiment(
         raise ValueError(f"need steps >= 1, got {steps}")
     if moment_order < 1:
         raise ValueError(f"need moment_order >= 1, got {moment_order}")
+    if not 0 <= gap_threshold < np.inf:
+        raise ValueError(f"gap_threshold must be >= 0 and finite, got {gap_threshold}")
     records: list[StepRecord] = []
     q = None
     for n in range(1, steps + 1):

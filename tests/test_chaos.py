@@ -293,30 +293,34 @@ def test_diagram_terms_cover_every_class_once():
     for q in range(1, 5):
         for m in range(1, 12 // q + 1):
             pairings, _, ge2 = chaos.nc0_classes(m, q)
-            reps, orbits, poisson, wigner = chaos._diagram_terms(m, q)
-            assert (len(poisson), len(wigner)) == (len(ge2), len(pairings))
-            assert len(set(reps)) == len(reps)
-            # each class is the disjoint union of its components, relabelled,
-            # and each index names one distinct component
-            components: dict[int, tuple] = {}
-            for sigma, term in zip(ge2, poisson):
-                parts = chaos._components(sigma.blocks, q)
-                assert [components.setdefault(i, c) for i, c in zip(term, parts)] == parts
-            assert sorted(components) == list(range(len(orbits)))
-            assert len(set(components.values())) == len(components)
-            for i, blocks in components.items():
-                r, conj = orbits[i]
-                assert (reps[r], conj) == chaos._orbit(blocks, q)
-            assert wigner == tuple(poisson[ge2.index(sigma)] for sigma in pairings)
-            # representatives are numbered by first use, so a Wigner moment
-            # reads a prefix of the components and of the representatives
-            assert list(dict.fromkeys(r for r, _ in orbits)) == list(range(len(reps)))
-            used = {i for term in wigner for i in term}
-            assert used == set(range(len(used)))
+            table = chaos._diagram_terms(m, q)
+            assert sorted(table) == ["poisson", "wigner"]
+            orbits = {}  # measure -> each class's term as (representative, flag) pairs
+            for measure, classes in (("poisson", ge2), ("wigner", pairings)):
+                reps, terms = table[measure]
+                assert len(terms) == len(classes)
+                assert len(set(reps)) == len(reps)
+                assert all(r.n == sum(map(len, r.blocks)) for r in reps)
+                # each class is the disjoint union of its components, relabelled,
+                # and entry 2r + flag of its term is its component's orbit
+                orbits[measure] = []
+                for sigma, term in zip(classes, terms):
+                    parts = chaos._components(sigma.blocks, q)
+                    assert len(term) == len(parts)
+                    pairs = [(reps[i // 2].blocks, i % 2 == 1) for i in term]
+                    assert pairs == [chaos._orbit(blocks, q) for blocks in parts]
+                    orbits[measure].append(pairs)
+                # representatives are numbered by first use, and each one is used
+                assert list(dict.fromkeys(i // 2 for term in terms for i in term)) == list(range(len(reps)))
+                # equal terms are one object
+                assert len({id(term) for term in terms}) == len(set(terms))
+            assert orbits["wigner"] == [orbits["poisson"][ge2.index(sigma)] for sigma in pairings]
             if q == 1:
                 sizes = {len(b) for sigma in ge2 for b in sigma.blocks}
-                assert sorted(reps) == sorted((tuple(range(1, k + 1)),) for k in sizes)
-                assert orbits == tuple((r, False) for r in range(len(reps)))
+                reps = table["poisson"][0]
+                assert sorted(r.blocks for r in reps) == sorted((tuple(range(1, k + 1)),) for k in sizes)
+                # a block is its own representative, never a conjugate
+                assert all(i % 2 == 0 for _, terms in table.values() for term in terms for i in term)
 
 
 def _dihedral_images(blocks, q):
@@ -339,8 +343,11 @@ def test_orbit_members_integrate_equal_under_rotation_and_conjugate_under_reflec
     conjugate_pairs = 0
     for q in range(2, 5):
         for m in range(2, 12 // q + 1):
-            reps, orbits, _, _ = chaos._diagram_terms(m, q)
-            for seed, rep in enumerate(reps):
+            table = chaos._diagram_terms(m, q)
+            # the pairings are classes with blocks >= 2, so Poisson's
+            # representatives hold Wigner's
+            assert set(table["wigner"][0]) <= set(table["poisson"][0])
+            for seed, rep in enumerate(sigma.blocks for sigma in table["poisson"][0]):
                 k = sum(map(len, rep)) // q
                 f = hermitian_kernel(q, 2, 0.7, 1000 * q + 10 * m + seed)
                 want = diagram_integral(f, k, SetPartition(k * q, rep))
@@ -367,8 +374,9 @@ def test_dihedral_orbit_counts():
     # distinct components -> orbits; at q = 1 each block size is its own orbit
     want = {(6, 2): (44, 12), (7, 2): (157, 22), (8, 2): (578, 61), (5, 3): (28, 7), (4, 4): (8, 5), (12, 1): (10, 10)}
     for (m, q), counts in want.items():
-        reps, orbits, _, _ = chaos._diagram_terms(m, q)
-        assert (len(orbits), len(reps)) == counts, (m, q)
+        components = {c for sigma in chaos.nc0_classes(m, q)[2] for c in chaos._components(sigma.blocks, q)}
+        reps, _ = chaos._diagram_terms(m, q)["poisson"]
+        assert (len(components), len(reps)) == counts, (m, q)
 
 
 def _count_diagram_calls(monkeypatch) -> list:
@@ -395,12 +403,13 @@ def test_moment_diagram_integrates_each_block_size_once_at_q1(monkeypatch):
 def test_moment_diagram_integrates_each_orbit_once(monkeypatch, m, q, poisson, wigner):
     calls = _count_diagram_calls(monkeypatch)
     f = hermitian_kernel(q, 2, 0.7, 71)
-    reps = chaos._diagram_terms(m, q)[0]
+    table = chaos._diagram_terms(m, q)
     for measure, count in (("poisson", poisson), ("wigner", wigner)):
         calls.clear()
         moment_diagram(f, m, measure)
-        # one call per representative, the pairings' ones a prefix
-        assert [sigma.blocks for sigma in calls] == list(reps[:count]), measure
+        # one call per representative of the measure's own table, in its order
+        reps, _ = table[measure]
+        assert (calls, len(reps)) == (list(reps), count), measure
 
 
 def test_reflected_components_tolerate_the_mirror_check_gap():
@@ -583,7 +592,8 @@ def test_two_steps_and_the_closing_fuse_into_one_arc(q):
 
 
 def test_trace_walk_refuses_an_oversize_chain_before_allocating():
-    # at m = 4 the depth-0 arc of f with itself, 11^6 entries, is a node of the walk
+    # at m = 4 the depth-0 arc of f with itself would hold 11^6 entries; the walk
+    # never builds that node, but checks its size before the row that reaches it
     f = sym_kernel(3, 11, 1.0, 90)
     tracemalloc.start()
     try:

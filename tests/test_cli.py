@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from freechaos import GridKernel, partitions, save_kernel
+from freechaos import GridKernel, errors, partitions, save_kernel, theorems
 from freechaos.chaos import ENGINES
 from freechaos.cli import build_parser, main
 
@@ -777,6 +777,33 @@ def test_converge_hyperdiagonal_bad_bins_names_bins(capsys, bins):
 
 
 @pytest.mark.parametrize(
+    "flags, line",
+    [
+        (("--cell-width", "-1"), "cell_width must be > 0 and finite, got -1.0"),
+        (("--cell-width", "nan"), "cell_width must be > 0 and finite, got nan"),
+        (("--cell-width", "1e308", "--bins", "8"), "outside the float range: bins * cell_width = inf"),
+    ],
+    ids=["width--1", "width-nan", "width-1e308-bins-8"],
+)
+def test_converge_hyperdiagonal_bad_cell_width_is_one_domain_line(capsys, flags, line):
+    # the width was checked only after bins * cell_width, and named its product
+    result = run(capsys, "converge", "--family", "hyperdiagonal", *flags)
+    assert result == (1, "", f"error:domain: {line}\n")
+
+
+@pytest.mark.parametrize("flags", [("-1",), ("inf",), ("nan", "--format", "csv")], ids=" ".join)
+def test_converge_bad_tol_is_refused_before_the_first_step(capsys, monkeypatch, flags):
+    # these used to exit 0, or to run every step and only then fail on NaN
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(theorems, "moment_diagram", refuse)
+    code, out, err = run(capsys, "converge", "--family", "indicator", "--steps", "2", "--tol", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:domain: gap_threshold must be >= 0 and finite, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("moments", "--m", m, "--family", "random", "--q", "0", "--method", method)
@@ -830,6 +857,12 @@ def test_converge_flags_that_are_not_read_are_usage_errors(capsys, family, flag)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_every_cap():
+    text = README.read_text(encoding="utf-8")
+    caps = re.findall(r"^(MAX_\w+) =", Path(errors.__file__).read_text(encoding="utf-8"), re.M)
+    assert len(caps) >= 6 and [cap for cap in caps if f"`{cap}`" not in text] == []
 
 
 def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
