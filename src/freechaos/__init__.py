@@ -12,7 +12,6 @@ from .chaos import (
     moment_report,
     moment_trace_formula,
     poisson_multiply,
-    power_expansion,
     semicircular_moment,
     trace,
     wigner_multiply,
@@ -50,11 +49,9 @@ from .partitions import (
     catalan,
     enumerate_nc,
     enumerate_partitions,
-    is_noncrossing,
     meet_is_zero,
     nc0_classes,
     riordan,
-    riordan_number,
 )
 from .theorems import (
     ConvergenceSeries,

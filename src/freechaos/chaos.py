@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -309,51 +309,6 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     return _finite("moment_diagram", m, total)
 
 
-def _admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # depth k of a step covers the shared variable (word letter c) and cannot
-    # exceed q or the arity the chain has reached, which the step then moves
-    # by q + c - 2k; depths grow in order, so tuples come out lexicographic
-    def grow(prefix: tuple[int, ...], arity: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m - 1:
-            yield prefix
-            return
-        c = word[len(prefix)]
-        for k in range(c, min(q, arity) + 1):
-            yield from grow(prefix + (k,), arity + q + c - 2 * k)
-
-    yield from grow((), q)
-
-
-def _chain(f: GridKernel, word: tuple[int, ...], depths: tuple[int, ...]) -> GridKernel:
-    # left-nested: ((f . f) . f) . f, one contraction per word letter
-    x = f
-    for letter, k in zip(word, depths):
-        if letter == 0:
-            x = arc_contraction(x, f, k)
-        else:
-            x = star_contraction(x, f, k)
-    return x
-
-
-def power_expansion(f: GridKernel, m: int) -> ChaosElement:
-    """Closed form of the m-th power of the chaos integral of f.
-
-    Sums left-nested contraction chains over all 0/1 words of length m-1 (a
-    1 marks a product step that keeps a shared variable) and admissible depth
-    tuples; the term for word sigma and depths r lands at order
-    mq + weight(sigma) - 2*sum(r), where weight(sigma) counts its 1s.
-    """
-    _require_mirror(f)
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    q = f.arity
-    acc: dict[int, np.ndarray] = {}
-    for word in itertools.product((0, 1), repeat=m - 1):
-        for depths in _admissible_tuples(m, q, word):
-            _accumulate(acc, m * q + sum(word) - 2 * sum(depths), _chain(f, word, depths).values)
-    return _build(f.bins, f.cell_width, acc)
-
-
 def moment_trace_formula(f: GridKernel, m: int) -> complex:
     """m-th moment as a sum of closed contraction chains.
 
@@ -455,7 +410,8 @@ def free_poisson_moment(lam: float, m: int) -> float:
     if not lam > 0:
         raise ValueError(f"rate must be > 0, got {lam}")
     if not 1 <= m <= MAX_RIORDAN_INDEX:
-        raise SizeLimitError(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
+        error = ValueError if m < 1 else SizeLimitError
+        raise error(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
     total = float(sum(count * _float_power(lam, j) for j, count in riordan(m).counts))
     return require_finite(f"free_poisson_moment({lam!r}, {m})", total)
 

@@ -105,11 +105,14 @@ class GridKernel:
 
 
 def _require_table_size(bins: int, arity: int) -> None:
-    # a bins < 1 is left to the caller's own domain check; NumPy allows at most
-    # 64 axes, and refusing more first keeps a huge arity out of the power
+    # every table is sized here before it is allocated, so a bins < 1 is refused
+    # here too; NumPy allows at most 64 axes, and refusing more first keeps a
+    # huge arity out of the power
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     if arity > 64:
         raise SizeLimitError(f"table would have {arity} axes, cap is 64")
-    if arity > 0 and bins > 0 and bins**arity > MAX_TABLE_ENTRIES:
+    if arity > 0 and bins**arity > MAX_TABLE_ENTRIES:
         raise SizeLimitError(f"table would hold {bins ** arity} entries, cap is {MAX_TABLE_ENTRIES}")
 
 

@@ -68,23 +68,6 @@ class SetPartition:
         return [list(b) for b in self.blocks]
 
 
-def _blocks_interleave(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    # a and b cross iff their merged order alternates source at least 3 times,
-    # i.e. some p1 < q1 < p2 < q2 with p's in one block and q's in the other.
-    merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
-    switches = sum(1 for i in range(1, len(merged)) if merged[i][1] != merged[i - 1][1])
-    return switches >= 3
-
-
-def is_noncrossing(p: SetPartition) -> bool:
-    """Whether no two blocks interleave."""
-    for i in range(len(p.blocks)):
-        for j in range(i + 1, len(p.blocks)):
-            if _blocks_interleave(p.blocks[i], p.blocks[j]):
-                return False
-    return True
-
-
 def _staircase_blocks(n: int, q: int, singletons: bool, crossing: bool, sink: Callable[[Blocks], object]) -> None:
     """Hand sink each partition of [n] that meets the partition into runs of q
     consecutive elements in zero, as canonical block tuples, grown by depth-first
@@ -120,14 +103,20 @@ def _staircase_blocks(n: int, q: int, singletons: bool, crossing: bool, sink: Ca
             nb[bi] = nb[bi] + (e,)
             grow(e + 1, tuple(nb), (bi,) + (stair[:si] if crossing else ()) + stair[si + 1:])
 
-    grow(2, ((1,),), (0,))
+    # grow's closure holds grow itself: break that cycle, or it keeps sink, and
+    # all that sink filed, alive until the cyclic collector runs
+    try:
+        grow(2, ((1,),), (0,))
+    finally:
+        del grow
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], from the staircase generator with crossings on;
     exhaustive, so n is capped."""
     if not 1 <= n <= MAX_PARTITION_GROUND:
-        raise SizeLimitError(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
+        error = ValueError if n < 1 else SizeLimitError
+        raise error(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
     kept: list[SetPartition] = []
     _staircase_blocks(n, 1, singletons=True, crossing=True, sink=lambda b: kept.append(SetPartition(n, b)))
     return kept
@@ -135,7 +124,8 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 
 def _require_nc_enum_ground(n: int) -> None:
     if not 1 <= n <= MAX_NC_ENUM_GROUND:
-        raise SizeLimitError(f"enumerate_nc needs 1 <= n <= {MAX_NC_ENUM_GROUND}, got {n}")
+        error = ValueError if n < 1 else SizeLimitError
+        raise error(f"enumerate_nc needs 1 <= n <= {MAX_NC_ENUM_GROUND}, got {n}")
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
@@ -219,16 +209,12 @@ def riordan(m: int) -> RiordanTable:
     (Nica & Speicher, Lectures on the Combinatorics of Free Probability, 2006).
     """
     if not 1 <= m <= MAX_RIORDAN_INDEX:
-        raise SizeLimitError(f"riordan needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
+        error = ValueError if m < 1 else SizeLimitError
+        raise error(f"riordan needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
     counts = tuple(
         (j, math.comb(m, j) * math.comb(m - j - 1, j - 1) // (m - j + 1)) for j in range(1, m // 2 + 1)
     )
     return RiordanTable(m, counts)
-
-
-def riordan_number(m: int) -> int:
-    """Total count of no-singleton non-crossing partitions of [m]."""
-    return riordan(m).total
 
 
 def catalan(n: int) -> int:

@@ -177,8 +177,6 @@ def perturbed_indicator_family(
     Step n is 1_A + eps0 * rho^n * g where g is seeded noise recentred to
     integrate to zero, so the leading moment error cancels.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
     _require_table_size(bins, 1)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-1.0, 1.0, size=bins)

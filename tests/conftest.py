@@ -69,6 +69,17 @@ def naive_glued(f: GridKernel, m: int, sigma: SetPartition, absolute: bool = Fal
     return total * f.cell_width**nblocks
 
 
+def is_noncrossing(p: SetPartition) -> bool:
+    """Whether no two blocks interleave. Two blocks cross iff their merged
+    order switches source at least 3 times, i.e. some p1 < q1 < p2 < q2 with
+    the p's in one block and the q's in the other."""
+    for a, b in itertools.combinations(p.blocks, 2):
+        merged = sorted([(x, 0) for x in a] + [(x, 1) for x in b])
+        if sum(1 for i in range(1, len(merged)) if merged[i][1] != merged[i - 1][1]) >= 3:
+            return False
+    return True
+
+
 def growth_string_partitions(n: int) -> set[SetPartition]:
     """Every partition of [n], read off its restricted growth string: element
     i goes to block a_i, where a_1 = 0 and a_i is at most one more than every

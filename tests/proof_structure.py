@@ -1,7 +1,10 @@
-"""Proof structure the library does not compute with: where parity enters.
+"""Proof structure the library does not compute with: the power expansion,
+and where parity enters.
 
 Words are 0/1 tuples of length m-1 whose letter 1 marks a product step that
-keeps a shared variable. For odd q the closed depth tuples of a word split
+keeps a shared variable. The m-th power of a chaos integral expands, through
+the product formula, into one left-nested contraction chain per word and
+admissible depth tuple. For odd q the closed depth tuples of a word split
 into aligned ones (depths 0, (q+1)/2, q, the midpoint exactly at the
 shared-variable steps) and the remainder, and the all-blocks->2 diagram
 class splits the same way by its intersections with the block partition.
@@ -11,9 +14,74 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from freechaos import SetPartition, nc0_classes
-from freechaos.chaos import _admissible_tuples
+import numpy as np
+
+from freechaos import (
+    ChaosElement,
+    GridKernel,
+    MirrorSymmetryError,
+    SetPartition,
+    arc_contraction,
+    is_mirror_symmetric,
+    nc0_classes,
+    star_contraction,
+)
+
+
+def admissible_tuples(m: int, q: int, word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The depth tuples a product chain can realize for one word.
+
+    Depth k of a step covers the shared variable (word letter c) and cannot
+    exceed q or the arity the chain has reached, which the step then moves by
+    q + c - 2k; depths grow in order, so tuples come out lexicographic.
+    """
+
+    def grow(prefix: tuple[int, ...], arity: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == m - 1:
+            yield prefix
+            return
+        c = word[len(prefix)]
+        for k in range(c, min(q, arity) + 1):
+            yield from grow(prefix + (k,), arity + q + c - 2 * k)
+
+    return grow((), q)
+
+
+def chain(f: GridKernel, word: tuple[int, ...], depths: tuple[int, ...]) -> GridKernel:
+    """The left-nested chain ((f . f) . f) . f, one contraction per word letter:
+    an arc for a 0, a shared-variable (star) contraction for a 1."""
+    x = f
+    for letter, k in zip(word, depths):
+        x = star_contraction(x, f, k) if letter else arc_contraction(x, f, k)
+    return x
+
+
+def power_expansion(f: GridKernel, m: int) -> ChaosElement:
+    """Closed form of the m-th power of the chaos integral of f.
+
+    Sums left-nested contraction chains over all 0/1 words of length m-1 and
+    admissible depth tuples; the term for word sigma and depths r lands at
+    order mq + weight(sigma) - 2*sum(r), where weight(sigma) counts its 1s.
+    Orders whose sum is exactly zero are dropped.
+    """
+    if not is_mirror_symmetric(f):
+        raise MirrorSymmetryError("kernel is not mirror symmetric")
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    q = f.arity
+    tables: dict[int, np.ndarray] = {}
+    for word in itertools.product((0, 1), repeat=m - 1):
+        for depths in admissible_tuples(m, q, word):
+            order = m * q + sum(word) - 2 * sum(depths)
+            tables[order] = tables.get(order, 0) + chain(f, word, depths).values
+    terms = {
+        order: GridKernel(order, f.bins, f.cell_width, table)
+        for order, table in sorted(tables.items())
+        if np.any(table)
+    }
+    return ChaosElement(f.bins, f.cell_width, terms)
 
 
 def words(m: int, weight: int) -> list[tuple[int, ...]]:
@@ -58,7 +126,7 @@ def index_sets(m: int, q: int, word: tuple[int, ...]) -> IndexSets:
         raise ValueError(f"need m >= 2 and q >= 1, got m={m}, q={q}")
     if len(word) != m - 1:
         raise ValueError(f"word length {len(word)} != m-1 = {m - 1}")
-    admissible = tuple(_admissible_tuples(m, q, word))
+    admissible = tuple(admissible_tuples(m, q, word))
     target = m * q + sum(word)
     closed = tuple(r for r in admissible if 2 * sum(r) == target)
     aligned_defined = q % 2 == 1

@@ -20,19 +20,18 @@ from freechaos import (
     fourth_moment_identity,
     fourth_moment_statistic,
     free_poisson_moment,
-    is_noncrossing,
     moment_diagram,
     moment_product,
     moment_trace_formula,
     norm2,
     perturbed_indicator_family,
     poisson_multiply,
-    power_expansion,
     transfer_experiment,
 )
-from freechaos.partitions import riordan, riordan_number
+from freechaos.partitions import riordan
 
-from conftest import element_gap, rel_close
+from conftest import element_gap, is_noncrossing, rel_close
+from proof_structure import power_expansion
 
 # frozen count oracles: Catalan numbers and no-singleton non-crossing totals
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)

@@ -31,7 +31,6 @@ from freechaos import (
     moment_trace_formula,
     norm2,
     poisson_multiply,
-    power_expansion,
     riordan,
     scale,
     semicircular_moment,
@@ -41,10 +40,9 @@ from freechaos import (
 )
 import freechaos
 from freechaos import chaos
-from freechaos.chaos import _admissible_tuples, _chain
 
 from conftest import element_gap, random_kernel, rel_close
-from proof_structure import index_sets, words
+from proof_structure import admissible_tuples, chain, index_sets, power_expansion, words
 
 
 def sym_kernel(q, bins, width, seed):
@@ -513,7 +511,7 @@ def test_admissible_tuples_match_exhaustive_filter():
     for q, top in [(1, 8), (2, 8), (3, 6), (4, 6)]:
         for m in range(2, top + 1):
             for word in itertools.product((0, 1), repeat=m - 1):
-                assert list(_admissible_tuples(m, q, word)) == list(exhaustive(m, q, word))
+                assert list(admissible_tuples(m, q, word)) == list(exhaustive(m, q, word))
                 words += 1
     assert words == 632
 
@@ -539,12 +537,12 @@ def test_trace_tree_matches_exhaustive_closing_sum():
             for weight in range(m - 1):
                 for word in words(m - 1, weight):
                     target = (m - 2) * q + weight
-                    tuples = [r for r in _admissible_tuples(m - 1, q, word) if 2 * sum(r) == target]
+                    tuples = [r for r in admissible_tuples(m - 1, q, word) if 2 * sum(r) == target]
                     # a word whose weight has the wrong parity admits no closing tuple
                     if (weight - m * q) % 2:
                         assert tuples == []
                     for r in tuples:
-                        oracle += complex(arc_contraction(_chain(f, word, r), f, q).values)
+                        oracle += complex(arc_contraction(chain(f, word, r), f, q).values)
             assert rel_close(moment_trace_formula(f, m), oracle, 1e-12)
 
 
@@ -710,9 +708,9 @@ def test_star_import_exports_no_submodules():
         convergence_experiment diagram_integral element_inner enumerate_nc enumerate_partitions
         fourth_moment_identity fourth_moment_statistic free_poisson_moment hyperdiagonal_family
         identity_terms indicator_characterization indicator_family inner
-        is_mirror_symmetric is_noncrossing kernel_from_dict kernel_to_dict load_kernel meet_is_zero
+        is_mirror_symmetric kernel_from_dict kernel_to_dict load_kernel meet_is_zero
         moment_diagram moment_product moment_report moment_trace_formula nc0_classes
-        norm2 perturbed_indicator_family poisson_multiply power_expansion riordan riordan_number
+        norm2 perturbed_indicator_family poisson_multiply riordan
         save_kernel scale semicircular_moment star_contraction subtract tamedness_report trace
         transfer_experiment wigner_multiply
         """.split()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import freechaos
 from freechaos import GridKernel, errors, partitions, save_kernel, theorems
 from freechaos.chaos import ENGINES
 from freechaos.cli import build_parser, main
@@ -122,7 +123,20 @@ def test_nc_counts_build_no_partitions(capsys, monkeypatch):
     assert counts == [(9, 4862, 21147), (14, 2674440, 190899322)]
     code, out, err = run(capsys, "nc", "--n", "0")
     assert code == 1 and out == ""
-    assert err == "error:size-limit: enumerate_nc needs 1 <= n <= 14, got 0\n"
+    assert err == "error:domain: enumerate_nc needs 1 <= n <= 14, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("nc", "--n", "0"), "enumerate_nc needs 1 <= n <= 14, got 0"),
+        (("riordan", "--m", "0"), "riordan needs 1 <= m <= 14, got 0"),
+    ],
+    ids=["nc --n 0", "riordan --m 0"],
+)
+def test_a_size_below_the_range_is_one_domain_line(capsys, argv, line):
+    # no cap is reached below the range, so it is no size limit
+    assert run(capsys, *argv) == (1, "", f"error:domain: {line}\n")
 
 
 def test_riordan_text(capsys):
@@ -777,6 +791,23 @@ def test_converge_hyperdiagonal_bad_bins_names_bins(capsys, bins):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--m", "3", "--bins", "-1"),
+        ("moments", "--m", "3", "--family", "random", "--bins", "-2"),
+        ("identity", "--bins", "-1"),
+        ("transfer", "--M", "3", "--bins", "-1"),
+        ("converge", "--family", "indicator", "--bins", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_negative_bins_names_bins(capsys, argv):
+    # bins is checked before any table is allocated, so numpy never sees it
+    result = run(capsys, *argv)
+    assert result == (1, "", f"error:domain: bins must be >= 1, got {argv[-1]}\n")
+
+
+@pytest.mark.parametrize(
     "flags, line",
     [
         (("--cell-width", "-1"), "cell_width must be > 0 and finite, got -1.0"),
@@ -863,6 +894,12 @@ def test_readme_names_every_cap():
     text = README.read_text(encoding="utf-8")
     caps = re.findall(r"^(MAX_\w+) =", Path(errors.__file__).read_text(encoding="utf-8"), re.M)
     assert len(caps) >= 6 and [cap for cap in caps if f"`{cap}`" not in text] == []
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    assert len(freechaos.__all__) >= 59
+    assert [name for name in freechaos.__all__ if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):

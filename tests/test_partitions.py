@@ -1,7 +1,10 @@
 """Partition enumeration, non-crossing filters, diagram classes, block-count tables."""
 
 import functools
+import gc
 import math
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,15 +17,14 @@ from freechaos import (
     catalan,
     enumerate_nc,
     enumerate_partitions,
-    is_noncrossing,
+    free_poisson_moment,
     meet_is_zero,
     nc0_classes,
     riordan,
-    riordan_number,
 )
 from freechaos import partitions
 
-from conftest import growth_string_partitions
+from conftest import growth_string_partitions, is_noncrossing
 from proof_structure import block_partition, intersection_split
 
 
@@ -49,7 +51,7 @@ def test_partitions_are_canonical_and_cover(n):
 
 
 def test_enumerate_partitions_guards():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="^enumerate_partitions needs 1 <= n <= 12, got 0$"):
         enumerate_partitions(0)
     with pytest.raises(SizeLimitError):
         enumerate_partitions(13)
@@ -149,7 +151,7 @@ def test_enumerate_nc_catalan_counts():
 def test_enumerate_nc_guards():
     with pytest.raises(SizeLimitError):
         enumerate_nc(17)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="^enumerate_nc needs 1 <= n <= 14, got 0$"):
         enumerate_nc(0)
 
 
@@ -258,7 +260,7 @@ def test_nc0_classes_reach_a_sixteen_element_ground_set():
 def test_nc0_ge2_counts_match_no_singleton_totals_at_q1():
     for m in range(2, 9):
         _, _, ge2 = nc0_classes(m, 1)
-        assert len(ge2) == riordan_number(m)
+        assert len(ge2) == riordan(m).total
 
 
 def test_nc0_classes_guard():
@@ -304,7 +306,7 @@ def test_riordan_small_tables():
 
 
 def test_riordan_totals():
-    assert [riordan_number(m) for m in range(1, 7)] == [0, 1, 1, 3, 6, 15]
+    assert [riordan(m).total for m in range(1, 7)] == [0, 1, 1, 3, 6, 15]
 
 
 def test_riordan_vanishing_above_half():
@@ -337,6 +339,55 @@ def test_riordan_closed_form_matches_nc_filter_oracle():
 def test_riordan_guard():
     with pytest.raises(SizeLimitError):
         riordan(15)
+
+
+@pytest.mark.parametrize(
+    "call", [enumerate_partitions, enumerate_nc, riordan, lambda m: free_poisson_moment(1.0, m)],
+    ids=["enumerate_partitions", "enumerate_nc", "riordan", "free_poisson_moment"],
+)
+def test_a_size_below_the_range_is_a_domain_error(call):
+    # only a size past the cap is a size limit
+    with pytest.raises(ValueError, match=" needs 1 <= ") as caught:
+        call(0)
+    assert not isinstance(caught.value, SizeLimitError)
+
+
+def test_nc0_classes_leave_nothing_behind_for_the_cyclic_collector():
+    # the generator's recursive closure must not hold the sink, and with it
+    # every class filed, in a reference cycle once the call returns; the first
+    # call fills the interpreter's free lists with traced objects, so the second
+    # one is measured against a steady state
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        nc0_classes(12, 1)
+        before, _ = tracemalloc.get_traced_memory()
+        nc0_classes(12, 1)  # the result is dropped at once
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert after - before <= 0.1 * 2**20
+
+
+def test_staircase_generator_lets_go_of_a_sink_that_raised():
+    def sink(blocks):
+        raise LookupError
+
+    alive = weakref.ref(sink)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(LookupError):
+            partitions._staircase_blocks(4, 1, singletons=True, crossing=False, sink=sink)
+        del sink
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_set_partition_validation():
