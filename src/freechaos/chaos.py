@@ -312,30 +312,20 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
 def moment_trace_formula(f: GridKernel, m: int) -> complex:
     """m-th moment as a sum of closed contraction chains.
 
-    The chains of every word of length m-2 and every admissible depth tuple
-    are walked depth-first as one prefix tree of raw tables, so each shared
-    chain prefix is contracted once. A node extends its parent's left-nested
-    chain by one arc (letter 0) or star (letter 1) contraction against f. A
-    branch is dropped once its arity is too far from q to return in the steps
-    left, since each step moves the arity by at most q.
-
-    So a chain of arity a one step from its end has one admissible last step,
-    depth ceil(a/2) with letter a mod 2, to arity q, after which the full arc
-    against one more copy of f closes it. Step and closing make one arc of the
-    chain against C_a, which is arc_contraction(f, f, q - a/2) for even a and
-    star_contraction(f, f, q - (a-1)/2) for odd a. One step earlier, a chain X
-    of arity a, its step (letter, depth k) to arity a' and the closing make one
-    arc of X against one row P: arc_contraction(f, C_a', q - k) for an arc
-    step and star_contraction(f, C_a', q - k + 1) for a star step. The rows of
-    every step from arity a are built on first use, in a dict local to the
-    call, with their axes reversed and flattened, and the C_a' they need with
-    them. Reversing the axes of a contraction of f with g gives the same
-    contraction of g reversed with f reversed, so a row is built reversed and
-    no table is transposed. A node two steps from its end then costs one
-    matrix-vector product against its arity's rows: each entry is the value
-    of one chain, closed on its own, and their sum is the node's total. The
-    nodes one step from the end are never built; the size of each is still
-    checked.
+    A chain starts from f and extends m-2 times by one arc (letter 0) or star
+    (letter 1) contraction of depth k against f; the full arc against one
+    more copy of f closes it. A step from arity a reaches arity
+    a + q + letter - 2k, and it is admissible only while that arity can still
+    return to q in the steps left, since each step moves the arity by at most
+    q. Each step is linear in the chain, so the chains that reach one arity
+    after the same number of steps are summed into one table before the next
+    step: a pass over the steps keeps one table per (step, arity), applies
+    every admissible step to each table of the previous step and adds the
+    outputs of equal arity. After the last step only arity q is left, and its
+    closing arc is the moment. Every step is planned, and every output arity
+    size-checked, before the first table is built. The pass runs under
+    numpy's errstate, so a value past the float range reaches _finite as inf
+    or nan rather than as a numpy warning.
     """
     _require_mirror(f)
     if m < 1:
@@ -345,56 +335,34 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
         raise ValueError(f"need arity >= 1, got {q}")
     if m == 1:
         return 0j  # a chaos integral of order q >= 1 is centred
-    if m == 2:
-        return _finite("moment_trace_formula", m, complex(arc_contraction(f, f, q).values))
-    fv, width = f.values, f.cell_width
-    fr = np.ascontiguousarray(fv.transpose(tuple(range(q - 1, -1, -1))))  # f with reversed axes
-    closing: dict[int, np.ndarray] = {}  # a -> C_a with reversed axes
-    rows: dict[int, np.ndarray] = {}  # a -> one reversed, flat row per step from arity a, times cell_width^a
-
-    def closing_table(a: int) -> np.ndarray:
-        c = closing.get(a)
-        if c is None:
-            c = closing[a] = (_star_table if a % 2 else _arc_table)(fr, fr, q - a // 2, width)
-        return c
-
-    def moves(arity: int, steps: int) -> list[tuple[int, int]]:
-        # (letter, depth) of each step from arity that can still close in the steps left after it
-        return [
-            (letter, k)
+    plan = []  # per step, its (arity, letter, depth, new arity) moves
+    arities = [q]
+    for left in range(m - 3, -1, -1):  # steps left after this one
+        moves = [
+            (a, letter, k, a + q + letter - 2 * k)
+            for a in arities
             for letter in (0, 1)
-            for k in range(letter, min(q, arity) + 1)
-            if abs(arity + letter - 2 * k) <= (steps - 1) * q
+            for k in range(letter, min(q, a) + 1)
+            if abs(a + letter - 2 * k) <= left * q
         ]
-
-    def row_table(a: int) -> np.ndarray:
-        r = rows.get(a)
-        if r is None:
-            found = moves(a, 2)
-            for letter, k in found:
-                _require_table_size(f.bins, a + q + letter - 2 * k)
-            r = np.empty((len(found), f.bins**a), np.complex128)
-            for i, (letter, k) in enumerate(found):
-                core = _star_table if letter else _arc_table
-                r[i] = core(closing_table(a + q + letter - 2 * k), fr, q - k + letter, width).ravel()
-            if width != 1:
-                r *= width**a
-            rows[a] = r
-        return r
-
-    def walk(x: np.ndarray, steps: int) -> complex:
-        arity = x.ndim
-        if steps == 2:  # summed in Python: a sum past the float range is inf for _finite, not a numpy warning
-            return sum((row_table(arity) @ x.ravel()).tolist(), 0j)
-        total = 0j
-        for letter, k in moves(arity, steps):
-            _require_table_size(f.bins, arity + q + letter - 2 * k)
-            total += walk((_star_table if letter else _arc_table)(x, fv, k, width), steps - 1)
-        return total
-
-    if m == 3:  # f is one step from its end
-        return _finite("moment_trace_formula", m, complex(fv.ravel() @ closing_table(q).ravel()) * width**q)
-    return _finite("moment_trace_formula", m, walk(fv, m - 2))
+        for *_, b in moves:
+            _require_table_size(f.bins, b)
+        plan.append(moves)
+        arities = sorted({b for *_, b in moves})
+    fv, width = f.values, f.cell_width
+    level = {q: fv}  # arity -> the sum of the chains of that arity
+    with np.errstate(over="ignore", invalid="ignore"):
+        for moves in plan:
+            out: dict[int, np.ndarray] = {}
+            for a, letter, k, b in moves:
+                x = (_star_table if letter else _arc_table)(level[a], fv, k, width)
+                if b in out:
+                    out[b] += x
+                else:
+                    out[b] = x
+            level = out
+        value = complex(_arc_table(level[q], fv, q, width))
+    return _finite("moment_trace_formula", m, value)
 
 
 def _float_power(base: float, exp: int) -> float:

@@ -1,7 +1,9 @@
 """Chaos algebra: product rules, moment engines, index sets, law oracles."""
 
+import gc
 import itertools
 import tracemalloc
+import warnings
 from types import ModuleType
 
 import numpy as np
@@ -529,7 +531,8 @@ def test_trace_formula_indicator_fourth_moment():
 
 def test_trace_tree_matches_exhaustive_closing_sum():
     # the exhaustive scan over words and closing depth tuples is the oracle
-    # for the pruned prefix-tree walk: a wrongly pruned branch drops terms
+    # for the per-(step, arity) tables: a move wrongly judged inadmissible
+    # drops terms, and one summed into the wrong arity adds false ones
     for q, ms in [(1, range(2, 10)), (2, range(2, 8)), (3, range(2, 6))]:
         f = hermitian_kernel(q, 3, 0.6, 50 + q)
         for m in ms:
@@ -570,9 +573,9 @@ def test_closing_step_fuses_into_one_arc(q):
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_two_steps_and_the_closing_fuse_into_one_arc(q):
-    # a chain X of arity a two steps from its leaf (a <= 3q, the most the walk
-    # keeps there): each admissible step (letter, depth k) to arity a' and the
-    # closing make the single arc of X against one row P, built from C_a'
+    # a chain X of arity a two steps from its leaf (a <= 3q, the most that can
+    # still close there): each admissible step (letter, depth k) to arity a'
+    # and the closing make the single arc of X against one row P, built from C_a'
     for width in (0.7, 1.0):
         for f in (sym_kernel(q, 3, width, 60 + q), hermitian_kernel(q, 3, width, 70 + q)):
             for a in range(3 * q + 1):
@@ -590,8 +593,8 @@ def test_two_steps_and_the_closing_fuse_into_one_arc(q):
 
 
 def test_trace_walk_refuses_an_oversize_chain_before_allocating():
-    # at m = 4 the depth-0 arc of f with itself would hold 11^6 entries; the walk
-    # never builds that node, but checks its size before the row that reaches it
+    # at m = 4 the depth-0 arc of f with itself would hold 11^6 entries; the
+    # plan checks every output arity before the first table is built
     f = sym_kernel(3, 11, 1.0, 90)
     tracemalloc.start()
     try:
@@ -602,6 +605,46 @@ def test_trace_walk_refuses_an_oversize_chain_before_allocating():
         tracemalloc.stop()
     assert str(err.value) == "table would hold 1771561 entries, cap is 1000000"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("q, m, bins", [(4, 9, 2), (3, 12, 2), (2, 12, 2), (1, 16, 4)])
+def test_trace_engine_reaches_high_orders(q, m, bins):
+    # one table per (step, arity) keeps the work polynomial in m; a walk over
+    # every chain prefix grows about 6x per order at q = 3
+    f = hermitian_kernel(q, bins, 0.6, 10 * q + m)
+    assert rel_close(moment_trace_formula(f, m), moment_product(f, m), 1e-9)
+
+
+def test_trace_engine_makes_one_contraction_per_move(monkeypatch):
+    # one core call per (step, arity, letter, depth) and one for the closing,
+    # not one per chain prefix (8,824 at m = 10)
+    calls = []
+    for name in ("_arc_table", "_star_table"):
+        core = getattr(chaos, name)
+        monkeypatch.setattr(chaos, name, lambda *args, core=core: calls.append(1) or core(*args))
+    moment_trace_formula(sym_kernel(2, 2, 0.6, 91), 12)
+    assert 0 < len(calls) < 1000
+
+
+def test_trace_engine_leaves_nothing_behind_for_the_cyclic_collector():
+    # no table of the call may stay alive in a reference cycle once it
+    # returns; the first call fills the interpreter's free lists with traced
+    # objects, so the second one is measured against a steady state
+    f = sym_kernel(3, 4, 0.6, 92)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        moment_trace_formula(f, 6)
+        before, _ = tracemalloc.get_traced_memory()
+        moment_trace_formula(f, 6)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert after - before <= 0.1 * 2**20
 
 
 def test_free_poisson_moment_values():
@@ -635,9 +678,12 @@ def test_law_oracles_refuse_a_sum_past_the_float_range(oracle):
 @pytest.mark.parametrize("engine", [moment_diagram, moment_product, moment_trace_formula])
 def test_engines_refuse_a_moment_past_the_float_range(engine):
     # on one cell 1.2e154 wide the fourth moment, 2*lambda**2 + lambda, is past the float range
+    # and it is the engine's own error, not a numpy warning on the way there
     line = rf"^outside the float range: {engine.__name__}\(m=4\) = inf$"
-    with pytest.raises(ValueError, match=line):
-        engine(GridKernel.indicator(1, 1.2e154), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=line):
+            engine(GridKernel.indicator(1, 1.2e154), 4)
 
 
 def test_free_poisson_moments_match_riordan_totals_at_unit_rate():
