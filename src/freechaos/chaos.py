@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
-from .errors import MAX_NC_GROUND, MAX_RIORDAN_INDEX, GridMismatchError, MirrorSymmetryError, SizeLimitError
+from .errors import (
+    MAX_NC_GROUND, GridMismatchError, MirrorSymmetryError, require_ground, require_size, require_table_size
+)
 from .kernels import (
     GridKernel,
     _arc_table,
-    _require_table_size,
     _star_table,
     adjoint,
     arc_contraction,
@@ -291,8 +293,7 @@ def moment_diagram(f: GridKernel, m: int, measure: Measure = "poisson") -> compl
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     q = f.arity
-    if m * q > MAX_NC_GROUND:
-        raise SizeLimitError(f"moment_diagram needs m*q <= {MAX_NC_GROUND}, got {m * q}")
+    require_ground("moment_diagram", m * q, MAX_NC_GROUND)
     reps, terms = _diagram_terms(m, q)[measure]
     # Each einsum below allocates and frees iterator buffers of up to 128 KiB per
     # operand. Until a process frees its first large block, glibc gives such
@@ -346,7 +347,7 @@ def moment_trace_formula(f: GridKernel, m: int) -> complex:
             if abs(a + letter - 2 * k) <= left * q
         ]
         for *_, b in moves:
-            _require_table_size(f.bins, b)
+            require_table_size(f.bins, b)
         plan.append(moves)
         arities = sorted({b for *_, b in moves})
     fv, width = f.values, f.cell_width
@@ -377,9 +378,7 @@ def free_poisson_moment(lam: float, m: int) -> float:
     """m-th moment of the centered free Poisson law with rate lam."""
     if not lam > 0:
         raise ValueError(f"rate must be > 0, got {lam}")
-    if not 1 <= m <= MAX_RIORDAN_INDEX:
-        error = ValueError if m < 1 else SizeLimitError
-        raise error(f"free_poisson_moment needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
+    require_size("free_poisson_moment", "m", m, MAX_NC_GROUND)
     total = float(sum(count * _float_power(lam, j) for j, count in riordan(m).counts))
     return require_finite(f"free_poisson_moment({lam!r}, {m})", total)
 
@@ -392,7 +391,15 @@ def semicircular_moment(lam: float, m: int) -> float:
         raise ValueError(f"need m >= 1, got {m}")
     if m % 2:
         return 0.0
-    total = float(catalan(m // 2) * _float_power(lam, m // 2))
+    k = m // 2
+    count = catalan(k)
+    try:
+        total = float(count * _float_power(lam, k))
+    except OverflowError:  # count is past the float range, and lam**k may have underflowed
+        from fractions import Fraction  # only here: importing the package loads no decimal module
+
+        exact = count * Fraction(lam) ** k if lam < 1 else math.inf
+        total = float(exact) if exact <= sys.float_info.max else math.inf
     return require_finite(f"semicircular_moment({lam!r}, {m})", total)
 
 

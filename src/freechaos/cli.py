@@ -15,14 +15,16 @@ import numpy as np
 
 from .chaos import ENGINES, moment_report
 from .errors import (
+    MAX_NC_ENUM_GROUND,
     GridMismatchError,
     GroundSetMismatchError,
     IdentityMismatchError,
     MirrorSymmetryError,
     SizeLimitError,
+    require_size,
 )
 from .kernels import GridKernel, load_kernel
-from .partitions import _require_nc_enum_ground, bell, catalan, enumerate_nc, nc0_classes, riordan
+from .partitions import bell, catalan, enumerate_nc, nc0_classes, riordan
 # unused here since nc counts in closed form; tracing wraps cli.enumerate_partitions
 from .partitions import enumerate_partitions  # noqa: F401
 from .records import require_finite, rows_to_csv
@@ -183,7 +185,7 @@ def cmd_nc(cfg: argparse.Namespace) -> str:
     if cfg.n is None:
         raise UsageError("nc needs --n, or --classes with --m and --q")
     # counts come in closed form; only --list builds partitions
-    _require_nc_enum_ground(cfg.n)
+    require_size("enumerate_nc", "n", cfg.n, MAX_NC_ENUM_GROUND)
     noncrossing = catalan(cfg.n)
     total = bell(cfg.n)
     payload: dict = {"n": cfg.n, "noncrossing": noncrossing, "total": total}

@@ -16,12 +16,12 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import (
-    MAX_TABLE_ENTRIES,
     MAX_TAMED_GROUND,
     GridMismatchError,
     GroundSetMismatchError,
     MirrorSymmetryError,
-    SizeLimitError,
+    require_ground,
+    require_table_size,
 )
 from .partitions import Blocks, SetPartition, _staircase_blocks
 
@@ -46,7 +46,7 @@ class GridKernel:
             raise ValueError(f"cell_width must be > 0, got {self.cell_width}")
         if not math.isfinite(self.cell_width):
             raise ValueError(f"cell_width must be finite, got {self.cell_width}")
-        _require_table_size(self.bins, self.arity)
+        require_table_size(self.bins, self.arity)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.bins,) * self.arity:
             raise ValueError(f"values shape {vals.shape} != {(self.bins,) * self.arity}")
@@ -62,7 +62,7 @@ class GridKernel:
         library has just computed and that nothing else references: no
         conversion, shape check or copy, only the size cap and the read-only
         flag."""
-        _require_table_size(bins, arity)
+        require_table_size(bins, arity)
         if not arity:
             values = np.asarray(values)  # a ufunc on a 0-d array returns a numpy scalar
         values.setflags(write=False)
@@ -72,7 +72,7 @@ class GridKernel:
 
     @classmethod
     def zeros(cls, arity: int, bins: int, cell_width: float) -> GridKernel:
-        _require_table_size(bins, arity)
+        require_table_size(bins, arity)
         return cls(arity, bins, cell_width, np.zeros((bins,) * arity, dtype=np.complex128))
 
     @classmethod
@@ -83,7 +83,7 @@ class GridKernel:
     @classmethod
     def indicator(cls, bins: int, cell_width: float = 1.0, cells: Sequence[int] | None = None) -> GridKernel:
         """Arity-1 indicator of a set of cells (all cells when omitted)."""
-        _require_table_size(bins, 1)
+        require_table_size(bins, 1)
         v = np.zeros(bins, dtype=np.complex128)
         if cells is None:
             v[:] = 1.0
@@ -97,23 +97,11 @@ class GridKernel:
     @classmethod
     def random_mirror_symmetric(cls, arity: int, bins: int, cell_width: float, seed: int) -> GridKernel:
         """Seeded real kernel symmetrized by averaging with its adjoint."""
-        _require_table_size(bins, arity)
+        require_table_size(bins, arity)
         rng = np.random.default_rng(seed)
         raw = rng.uniform(-1.0, 1.0, size=(bins,) * arity)
         k = cls(arity, bins, cell_width, raw.astype(np.complex128))
         return scale(add(k, adjoint(k)), 0.5)
-
-
-def _require_table_size(bins: int, arity: int) -> None:
-    # every table is sized here before it is allocated, so a bins < 1 is refused
-    # here too; NumPy allows at most 64 axes, and refusing more first keeps a
-    # huge arity out of the power
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if arity > 64:
-        raise SizeLimitError(f"table would have {arity} axes, cap is 64")
-    if arity > 0 and bins**arity > MAX_TABLE_ENTRIES:
-        raise SizeLimitError(f"table would hold {bins ** arity} entries, cap is {MAX_TABLE_ENTRIES}")
 
 
 def _require_same_grid(f: GridKernel, g: GridKernel) -> None:
@@ -161,7 +149,7 @@ def arc_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
     if not 0 <= k <= min(m, n):
         raise ValueError(f"arc depth {k} outside 0..{min(m, n)}")
     out_arity = m + n - 2 * k
-    _require_table_size(f.bins, out_arity)
+    require_table_size(f.bins, out_arity)
     return GridKernel._owned(out_arity, f.bins, f.cell_width, _arc_table(f.values, g.values, k, f.cell_width))
 
 
@@ -175,7 +163,7 @@ def star_contraction(f: GridKernel, g: GridKernel, k: int) -> GridKernel:
     if not 1 <= k <= min(m, n):
         raise ValueError(f"star depth {k} outside 1..{min(m, n)}")
     out_arity = m + n - 2 * k + 1
-    _require_table_size(f.bins, out_arity)
+    require_table_size(f.bins, out_arity)
     return GridKernel._owned(out_arity, f.bins, f.cell_width, _star_table(f.values, g.values, k, f.cell_width))
 
 
@@ -232,9 +220,16 @@ def diagram_integral(f: GridKernel, m: int, sigma: SetPartition) -> complex:
         raise GroundSetMismatchError(f"partition of [{sigma.n}] cannot glue {m} copies of arity {q}")
     label = sigma.block_index()
     args: list = []
-    for j in range(m):
-        args.append(f.values)
-        args.append([label[p] for p in range(j * q + 1, j * q + q + 1)])
+    try:
+        # n elements in all and a block found at every position 1..n: then the
+        # blocks cover [n] exactly once (a per-call validate costs more)
+        if sum(map(len, sigma.blocks)) != sigma.n:
+            raise KeyError(sigma.n)
+        for j in range(m):
+            args.append(f.values)
+            args.append([label[p] for p in range(j * q + 1, j * q + q + 1)])
+    except KeyError:
+        raise GroundSetMismatchError(f"blocks {sigma.blocks} do not cover [{sigma.n}] exactly once") from None
     args.append([])
     total = np.einsum(*args)
     return complex(total * f.cell_width ** len(sigma.blocks))
@@ -272,8 +267,7 @@ def tamedness_report(fs: Sequence[GridKernel], m: int, threshold: float) -> Tame
         raise GridMismatchError("kernels must share one arity")
     if q < 1 or m < 1:
         raise ValueError(f"need arity >= 1 and m >= 1, got arity={q}, m={m}")
-    if m * q > MAX_TAMED_GROUND:
-        raise SizeLimitError(f"tamedness_report needs m*q <= {MAX_TAMED_GROUND}, got {m * q}")
+    require_ground("tamedness_report", m * q, MAX_TAMED_GROUND)
     # the real |f| tables, built once, are seen only by diagram_integral
     moduli = [GridKernel._owned(q, f.bins, f.cell_width, np.abs(f.values)) for f in fs]
     peaks = [-math.inf] * len(fs)
@@ -317,7 +311,7 @@ def kernel_from_dict(obj: dict) -> GridKernel:
         raise ValueError("'entries' must be a list")
     if q < 0 or bins < 1 or not width > 0:
         raise ValueError(f"bad grid header: q={q}, bins={bins}, cell_width={width}")
-    _require_table_size(bins, q)
+    require_table_size(bins, q)
     values = np.zeros((bins,) * q, dtype=np.complex128)
     seen: set[tuple[int, ...]] = set()
     for row in obj["entries"]:

@@ -15,9 +15,9 @@ from .errors import (
     MAX_NC_ENUM_GROUND,
     MAX_NC_GROUND,
     MAX_PARTITION_GROUND,
-    MAX_RIORDAN_INDEX,
     GroundSetMismatchError,
-    SizeLimitError,
+    require_ground,
+    require_size,
 )
 
 Blocks = tuple[tuple[int, ...], ...]  # a partition's canonical blocks
@@ -114,23 +114,15 @@ def _staircase_blocks(n: int, q: int, singletons: bool, crossing: bool, sink: Ca
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], from the staircase generator with crossings on;
     exhaustive, so n is capped."""
-    if not 1 <= n <= MAX_PARTITION_GROUND:
-        error = ValueError if n < 1 else SizeLimitError
-        raise error(f"enumerate_partitions needs 1 <= n <= {MAX_PARTITION_GROUND}, got {n}")
+    require_size("enumerate_partitions", "n", n, MAX_PARTITION_GROUND)
     kept: list[SetPartition] = []
     _staircase_blocks(n, 1, singletons=True, crossing=True, sink=lambda b: kept.append(SetPartition(n, b)))
     return kept
 
 
-def _require_nc_enum_ground(n: int) -> None:
-    if not 1 <= n <= MAX_NC_ENUM_GROUND:
-        error = ValueError if n < 1 else SizeLimitError
-        raise error(f"enumerate_nc needs 1 <= n <= {MAX_NC_ENUM_GROUND}, got {n}")
-
-
 def enumerate_nc(n: int) -> list[SetPartition]:
     """All non-crossing partitions of [n], Catalan(n) of them."""
-    _require_nc_enum_ground(n)
+    require_size("enumerate_nc", "n", n, MAX_NC_ENUM_GROUND)
     kept: list[SetPartition] = []
     _staircase_blocks(n, 1, singletons=True, crossing=False, sink=lambda b: kept.append(SetPartition(n, b)))
     return kept
@@ -169,8 +161,7 @@ def nc0_classes(
     if m < 1 or q < 1:
         raise ValueError(f"need m >= 1 and q >= 1, got m={m}, q={q}")
     n = m * q
-    if n > MAX_NC_GROUND:
-        raise SizeLimitError(f"nc0_classes needs m*q <= {MAX_NC_GROUND}, got {n}")
+    require_ground("nc0_classes", n, MAX_NC_GROUND)
     pairings: list[SetPartition] = []
     big: list[SetPartition] = []
     ge2: list[SetPartition] = []
@@ -208,9 +199,7 @@ def riordan(m: int) -> RiordanTable:
     C(m, j) C(m-j-1, j-1) / (m-j+1) partitions of [m] have j blocks, 1 <= j <= m/2
     (Nica & Speicher, Lectures on the Combinatorics of Free Probability, 2006).
     """
-    if not 1 <= m <= MAX_RIORDAN_INDEX:
-        error = ValueError if m < 1 else SizeLimitError
-        raise error(f"riordan needs 1 <= m <= {MAX_RIORDAN_INDEX}, got {m}")
+    require_size("riordan", "m", m, MAX_NC_GROUND)  # the total counts the classes of nc0_classes(m, 1)
     counts = tuple(
         (j, math.comb(m, j) * math.comb(m - j - 1, j - 1) // (m - j + 1)) for j in range(1, m // 2 + 1)
     )

@@ -18,10 +18,9 @@ from .chaos import (
     moment_product,
     semicircular_moment,
 )
-from .errors import IdentityMismatchError
+from .errors import MAX_CONVERGE_STEPS, IdentityMismatchError, require_size, require_table_size
 from .kernels import (
     GridKernel,
-    _require_table_size,
     arc_contraction,
     norm2,
     star_contraction,
@@ -177,7 +176,7 @@ def perturbed_indicator_family(
     Step n is 1_A + eps0 * rho^n * g where g is seeded noise recentred to
     integrate to zero, so the leading moment error cancels.
     """
-    _require_table_size(bins, 1)
+    require_table_size(bins, 1)
     rng = np.random.default_rng(seed)
     g = rng.uniform(-1.0, 1.0, size=bins)
     g = g - g.mean()
@@ -204,7 +203,7 @@ def hyperdiagonal_family(q: int = 2, spread: float = 1.0, height: float = 1.0) -
     def at(n: int) -> GridKernel:
         if n < 1:
             raise ValueError(f"step must be >= 1, got {n}")
-        _require_table_size(n, q)
+        require_table_size(n, q)
         vals = np.zeros((n,) * q, dtype=np.complex128)
         for i in range(n):
             vals[(i,) * q] = height
@@ -281,8 +280,7 @@ def convergence_experiment(
     contraction norms from the identity decomposition come along in each
     record so the obstruction to convergence is visible term by term.
     """
-    if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
+    require_size("convergence_experiment", "steps", steps, MAX_CONVERGE_STEPS)
     if moment_order < 1:
         raise ValueError(f"need moment_order >= 1, got {moment_order}")
     if not 0 <= gap_threshold < np.inf:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import tracemalloc
 import warnings
 from types import ModuleType
@@ -657,7 +658,7 @@ def test_free_poisson_moment_values():
     with pytest.raises(ValueError):
         free_poisson_moment(0.0, 2)
     with pytest.raises(SizeLimitError):
-        free_poisson_moment(1.0, 15)
+        free_poisson_moment(1.0, 17)
 
 
 @pytest.mark.parametrize("oracle", [free_poisson_moment, semicircular_moment])
@@ -673,6 +674,15 @@ def test_law_oracles_refuse_a_sum_past_the_float_range(oracle):
     line = rf"^outside the float range: {oracle.__name__}\(1\.2e\+154, 4\) = inf$"
     with pytest.raises(ValueError, match=line):
         oracle(1.2e154, 4)
+
+
+def test_semicircular_moment_refuses_a_catalan_number_past_the_float_range():
+    # catalan(600) ~ 1e357 is past the float range, and so is the moment at unit variance
+    with pytest.raises(ValueError, match=r"^outside the float range: semicircular_moment\(1\.0, 1200\) = inf$"):
+        semicircular_moment(1.0, 1200)
+    # at variance 1/4 the power underflows, but the moment catalan(600) / 4**600 is in range
+    log_moment = math.lgamma(1201) - 2 * math.lgamma(601) - math.log(601) - 600 * math.log(4)
+    assert semicircular_moment(0.25, 1200) == pytest.approx(math.exp(log_moment), rel=1e-9)
 
 
 @pytest.mark.parametrize("engine", [moment_diagram, moment_product, moment_trace_formula])
@@ -730,10 +740,10 @@ def test_moment_report_checks_the_oracle_order_before_any_engine(monkeypatch):
         monkeypatch.setattr(chaos, engine, boom)
     f = GridKernel.indicator(2)
     for method in ("product", "diagram", "trace"):
-        with pytest.raises(SizeLimitError, match="free_poisson_moment needs 1 <= m <= 14, got 15"):
-            moment_report(f, 15, method)
+        with pytest.raises(SizeLimitError, match="free_poisson_moment needs 1 <= m <= 16, got 17"):
+            moment_report(f, 17, method)
     with pytest.raises(ValueError, match="method must be"):
-        moment_report(f, 15, "nonsense")
+        moment_report(f, 17, "nonsense")
 
 
 def test_moment_report_names_the_engines_of_the_measure():

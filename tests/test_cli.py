@@ -1,6 +1,7 @@
 """CLI behavior: outputs, formats, file IO, and the one-line error contract."""
 
 import argparse
+import ast
 import json
 import math
 import re
@@ -130,9 +131,11 @@ def test_nc_counts_build_no_partitions(capsys, monkeypatch):
     "argv, line",
     [
         (("nc", "--n", "0"), "enumerate_nc needs 1 <= n <= 14, got 0"),
-        (("riordan", "--m", "0"), "riordan needs 1 <= m <= 14, got 0"),
+        (("riordan", "--m", "0"), "riordan needs 1 <= m <= 16, got 0"),
+        (("converge", "--family", "indicator", "--steps", "0"),
+         "convergence_experiment needs 1 <= steps <= 50, got 0"),
     ],
-    ids=["nc --n 0", "riordan --m 0"],
+    ids=["nc --n 0", "riordan --m 0", "converge --steps 0"],
 )
 def test_a_size_below_the_range_is_one_domain_line(capsys, argv, line):
     # no cap is reached below the range, so it is no size limit
@@ -568,8 +571,10 @@ def test_moments_choices_come_from_the_engine_table():
          "error:size-limit: table would hold 2097152 entries, cap is 1000000\n"),
         (("moments", "--m", "2", "--bins", "100000000000"),
          "error:size-limit: table would hold 100000000000 entries, cap is 1000000\n"),
+        (("converge", "--family", "indicator", "--steps", "51"),
+         "error:size-limit: convergence_experiment needs 1 <= steps <= 50, got 51\n"),
     ],
-    ids=["wigner-diagram", "wigner-product", "oversize-indicator"],
+    ids=["wigner-diagram", "wigner-product", "oversize-indicator", "converge-steps"],
 )
 def test_oversize_orders_and_tables_are_size_limit(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
@@ -723,6 +728,16 @@ def test_missing_required_flag_is_usage(capsys):
 def test_converge_bad_steps_is_domain(capsys):
     code, _, err = run(capsys, "converge", "--family", "indicator", "--steps", "0")
     assert code == 1 and err.startswith("error:domain:")
+
+
+@pytest.mark.parametrize("m, total", [(15, 83097), (16, 227475)])
+@pytest.mark.parametrize("method", ["product", "trace"])
+def test_orders_fifteen_and_sixteen_reach_the_law_at_unit_rate(capsys, m, total, method):
+    # the Riordan counts share the class cap, so the CLI's law column admits m = 15 and 16
+    code, out, err = run(capsys, "moments", "--m", str(m), "--method", method, "--bins", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["value_re"], report["oracle"]) == (total, total)
 
 
 def test_converge_zero_bins_is_one_domain_line(capsys):
@@ -894,6 +909,27 @@ def test_readme_names_every_cap():
     text = README.read_text(encoding="utf-8")
     caps = re.findall(r"^(MAX_\w+) =", Path(errors.__file__).read_text(encoding="utf-8"), re.M)
     assert len(caps) >= 6 and [cap for cap in caps if f"`{cap}`" not in text] == []
+
+
+def test_only_errors_py_refuses_a_size():
+    # every size budget lives in errors.py: no other module raises SizeLimitError
+    # itself or compares a value with a MAX_* cap
+    def breaks(node) -> bool:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if isinstance(node, ast.Raise):
+            return "SizeLimitError" in names
+        return isinstance(node, ast.Compare) and any(name.startswith("MAX_") for name in names)
+
+    src = Path(errors.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if breaks(node)
+    ]
+    assert found == []
 
 
 def test_readme_names_every_public_name():

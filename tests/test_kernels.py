@@ -1,5 +1,6 @@
 """Grid kernels: adjoints, contractions, glued integrals, file format, guards."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -322,6 +323,16 @@ def test_diagram_integral_ground_set_check():
     f = random_kernel(2, 2, 1.0, 25)
     with pytest.raises(GroundSetMismatchError):
         diagram_integral(f, 3, SetPartition.from_blocks(4, [[1, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize(
+    "blocks", [((1, 2), (2,)), ((1,),), ((0, 1),)], ids=["element twice", "element missing", "element outside"]
+)
+def test_diagram_integral_refuses_blocks_that_do_not_cover_the_ground_set_once(blocks):
+    # SetPartition(...) does not validate, so the glued integral checks its own labels
+    line = rf"^blocks {re.escape(repr(blocks))} do not cover \[2\] exactly once$"
+    with pytest.raises(GroundSetMismatchError, match=line):
+        diagram_integral(GridKernel.indicator(3), 2, SetPartition(2, blocks))
 
 
 def test_tamedness_report_flags_growth():

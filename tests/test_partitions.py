@@ -3,26 +3,33 @@
 import functools
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from freechaos import (
+    GridKernel,
     GroundSetMismatchError,
     SetPartition,
     SizeLimitError,
     bell,
     catalan,
+    convergence_experiment,
     enumerate_nc,
     enumerate_partitions,
     free_poisson_moment,
+    indicator_family,
     meet_is_zero,
+    moment_diagram,
     nc0_classes,
     riordan,
+    tamedness_report,
 )
-from freechaos import partitions
+from freechaos import chaos, kernels, partitions, theorems
 
 from conftest import growth_string_partitions, is_noncrossing
 from proof_structure import block_partition, intersection_split
@@ -338,18 +345,76 @@ def test_riordan_closed_form_matches_nc_filter_oracle():
 
 def test_riordan_guard():
     with pytest.raises(SizeLimitError):
-        riordan(15)
+        riordan(17)
 
 
 @pytest.mark.parametrize(
-    "call", [enumerate_partitions, enumerate_nc, riordan, lambda m: free_poisson_moment(1.0, m)],
-    ids=["enumerate_partitions", "enumerate_nc", "riordan", "free_poisson_moment"],
+    "call",
+    [
+        enumerate_partitions,
+        enumerate_nc,
+        riordan,
+        lambda m: free_poisson_moment(1.0, m),
+        lambda steps: convergence_experiment(indicator_family(2), steps),
+    ],
+    ids=["enumerate_partitions", "enumerate_nc", "riordan", "free_poisson_moment", "convergence_experiment"],
 )
 def test_a_size_below_the_range_is_a_domain_error(call):
     # only a size past the cap is a size limit
     with pytest.raises(ValueError, match=" needs 1 <= ") as caught:
         call(0)
     assert not isinstance(caught.value, SizeLimitError)
+
+
+# Each budget at its cap + 1, the work it guards, and the refusal.
+PAST_THE_CAP = {
+    "enumerate_partitions": (
+        lambda: enumerate_partitions(13), (partitions, "_staircase_blocks"),
+        "enumerate_partitions needs 1 <= n <= 12, got 13",
+    ),
+    "enumerate_nc": (
+        lambda: enumerate_nc(15), (partitions, "_staircase_blocks"), "enumerate_nc needs 1 <= n <= 14, got 15",
+    ),
+    "nc0_classes": (
+        lambda: nc0_classes(17, 1), (partitions, "_staircase_blocks"), "nc0_classes needs m*q <= 16, got 17",
+    ),
+    "riordan": (lambda: riordan(17), (math, "comb"), "riordan needs 1 <= m <= 16, got 17"),
+    "free_poisson_moment": (
+        lambda: free_poisson_moment(1.0, 17), (chaos, "riordan"), "free_poisson_moment needs 1 <= m <= 16, got 17",
+    ),
+    "moment_diagram": (
+        lambda: moment_diagram(GridKernel.indicator(2), 17), (chaos, "_diagram_terms"),
+        "moment_diagram needs m*q <= 16, got 17",
+    ),
+    "tamedness_report": (
+        lambda: tamedness_report([GridKernel.indicator(3)], 11, 1.0), (kernels, "_staircase_blocks"),
+        "tamedness_report needs m*q <= 10, got 11",
+    ),
+    "table entries": (
+        lambda: GridKernel.zeros(1, 10**6 + 1, 1.0), (np, "zeros"), "table would hold 1000001 entries, cap is 1000000",
+    ),
+    "table axes": (lambda: GridKernel.zeros(65, 1, 1.0), (np, "zeros"), "table would have 65 axes, cap is 64"),
+    "convergence_experiment": (
+        lambda: convergence_experiment(indicator_family(2), 51), (theorems, "fourth_moment_identity"),
+        "convergence_experiment needs 1 <= steps <= 50, got 51",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, work, line", PAST_THE_CAP.values(), ids=PAST_THE_CAP)
+def test_a_size_past_the_cap_is_a_size_limit_before_any_work(monkeypatch, call, work, line):
+    def unreached(*args, **kwargs):
+        raise AssertionError(f"{work[1]} ran past the cap")
+
+    monkeypatch.setattr(*work, unreached)
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(line)}$"):
+        call()
+
+
+def test_the_riordan_counts_reach_the_class_cap():
+    # riordan(m).total counts the classes nc0_classes(m, 1) keeps, so both stop at m = 16
+    assert riordan(16).total == 227475
+    assert free_poisson_moment(1.0, 16) == 227475.0
 
 
 def test_nc0_classes_leave_nothing_behind_for_the_cyclic_collector():

@@ -315,11 +315,11 @@ def test_experiments_check_the_oracle_order_before_the_diagram_engine(monkeypatc
         raise AssertionError("the diagram engine ran for an order the oracle refuses")
 
     monkeypatch.setattr(theorems, "moment_diagram", boom)
-    refused = "free_poisson_moment needs 1 <= m <= 14, got 15"
+    refused = "free_poisson_moment needs 1 <= m <= 16, got 17"
     with pytest.raises(SizeLimitError, match=refused):
-        transfer_experiment(GridKernel.indicator(2), 15)
+        transfer_experiment(GridKernel.indicator(2), 17)
     with pytest.raises(SizeLimitError, match=refused):
-        convergence_experiment(indicator_family(2), 2, moment_order=15)
+        convergence_experiment(indicator_family(2), 2, moment_order=17)
 
 
 def test_convergence_runs_the_diagram_engine_once_per_order(monkeypatch):
